@@ -295,14 +295,15 @@ TEST(ServeHarness, MeasurementWindowTrimsWarmupAndCooldown) {
 // ------------------------------------------------------------------ golden
 
 struct ServePoint {
-  const char* profile;  // none | crash | partition
+  const char* profile;  // none | crash | partition | lossy
   dsm::ProtocolKind protocol;
 };
 
 std::vector<ServePoint> golden_points() {
   std::vector<ServePoint> pts;
-  for (const char* profile : {"none", "crash", "partition"}) {
-    for (auto kind : {dsm::ProtocolKind::kJavaIc, dsm::ProtocolKind::kJavaPf}) {
+  for (const char* profile : {"none", "crash", "partition", "lossy"}) {
+    for (auto kind : {dsm::ProtocolKind::kJavaIc, dsm::ProtocolKind::kJavaPf,
+                      dsm::ProtocolKind::kHybrid}) {
       pts.push_back({profile, kind});
     }
   }
@@ -317,6 +318,10 @@ ServeResult run_point(const ServePoint& pt) {
   } else if (std::strcmp(pt.profile, "partition") == 0) {
     cfg.cluster.fault =
         cluster::FaultProfile::parse("partition@10ms+6ms:1|0.2.3,seed=7");
+  } else if (std::strcmp(pt.profile, "lossy") == 0) {
+    // Bounded dedup window: every update carries its 8-byte update id.
+    cfg.cluster.fault =
+        cluster::FaultProfile::parse("drop2%,dup5%,reorder5us,dedupwin=4,seed=7");
   }
   return run_serve(cfg, small_params());
 }
@@ -364,7 +369,8 @@ TEST(ServeGolden, AllCellsBitIdentical) {
     out << "# Serve determinism goldens: 512-key store on myri200 x 4 nodes,\n"
            "# 4 clients x 150 ops @ 4000 ops/s, theta=0.99, read%=80, seed=7;\n"
            "# cells = {fault-free, crash1@10ms+8ms K=2, partition@10ms+6ms\n"
-           "# 1|0.2.3} x both protocols. Regenerate with\n"
+           "# 1|0.2.3, lossy drop2%,dup5%,reorder5us,dedupwin=4} x {java_ic,\n"
+           "# java_pf, hybrid}. Regenerate with\n"
            "# HYP_UPDATE_GOLDENS=1 ./serve_tests -- and justify the semantic\n"
            "# change in the commit message.\n";
     for (const auto& line : lines) out << line << '\n';
