@@ -1,5 +1,6 @@
 // UniqueFunction: a minimal move-only std::function<void(Args...)> with a
-// small-buffer optimisation.
+// small-buffer optimisation. FunctionRef: a non-owning callable reference
+// (two pointers, never allocates) for callbacks that do not outlive the call.
 //
 // Simulator events must own their payloads (a message Buffer moves through
 // the event queue exactly once); std::function requires copyable targets and
@@ -14,6 +15,7 @@
 #pragma once
 
 #include <cstddef>
+#include <memory>
 #include <new>
 #include <type_traits>
 #include <utility>
@@ -143,6 +145,28 @@ class UniqueFunction<R(Args...)> {
 
   alignas(std::max_align_t) unsigned char storage_[kInlineBytes];
   const Ops* ops_ = nullptr;
+};
+
+template <typename Signature>
+class FunctionRef;
+
+template <typename R, typename... Args>
+class FunctionRef<R(Args...)> {
+ public:
+  template <typename F, typename = std::enable_if_t<
+                            !std::is_same_v<std::decay_t<F>, FunctionRef> &&
+                            std::is_invocable_r_v<R, F&, Args...>>>
+  FunctionRef(F&& f)  // NOLINT(google-explicit-constructor)
+      : obj_(const_cast<void*>(static_cast<const void*>(std::addressof(f)))),
+        call_([](void* o, Args... args) -> R {
+          return (*static_cast<std::remove_reference_t<F>*>(o))(std::forward<Args>(args)...);
+        }) {}
+
+  R operator()(Args... args) const { return call_(obj_, std::forward<Args>(args)...); }
+
+ private:
+  void* obj_;
+  R (*call_)(void*, Args...);
 };
 
 }  // namespace hyp

@@ -7,6 +7,75 @@
 
 namespace hyp::dsm {
 
+namespace {
+
+// The two item sources of the update pipeline. Each supplies only its wire
+// encoding, its body decoder, its apply cost (one formula whether the home
+// applies a received message or the sender applies locally because it has
+// become the home) and its service id; collect, route, ship and the
+// home-side envelope are shared.
+template <typename Item>
+struct UpdateSource;
+
+template <>
+struct UpdateSource<WriteLogEntry> {
+  static constexpr cluster::ServiceId kService = svc::kUpdateFields;
+  static constexpr const char* kWhat = "write-log flush";
+  static constexpr std::size_t kItemHeader = sizeof(std::uint64_t) + sizeof(std::uint8_t);
+  static std::uint32_t len(const WriteLogEntry& e) { return e.size; }
+  static const void* payload(const WriteLogEntry& e, const std::byte*) { return &e.value; }
+  static void encode(Buffer* msg, const WriteLogEntry& e, const std::byte*) {
+    WriteLog::encode_entry(msg, e);
+  }
+  template <typename Fn>
+  static std::size_t decode_each(BufferReader& in, Fn&& fn) {
+    return WriteLog::decode_each(in, [&](const WriteLogEntry& e) { fn(e.addr, &e.value, e.size); });
+  }
+  static Time apply_cost(const cluster::CpuParams& cpu, std::size_t count, std::size_t) {
+    return cpu.cycles(cpu.update_entry_cycles * count);
+  }
+  static std::size_t applied_arg(std::size_t count, std::size_t) { return count; }
+};
+
+template <>
+struct UpdateSource<DiffRun> {
+  static constexpr cluster::ServiceId kService = svc::kUpdateRuns;
+  static constexpr const char* kWhat = "diff flush";
+  static constexpr std::size_t kItemHeader = sizeof(std::uint64_t) + sizeof(std::uint32_t);
+  static std::uint32_t len(const DiffRun& r) { return r.len; }
+  static const void* payload(const DiffRun& r, const std::byte* arena) { return arena + r.offset; }
+  static void encode(Buffer* msg, const DiffRun& r, const std::byte* arena) {
+    msg->put<std::uint64_t>(r.addr);
+    msg->put<std::uint32_t>(r.len);
+    msg->put_bytes(arena + r.offset, r.len);
+  }
+  template <typename Fn>
+  static std::size_t decode_each(BufferReader& in, Fn&& fn) {
+    const auto count = in.get<std::uint32_t>();
+    for (std::uint32_t i = 0; i < count; ++i) {
+      const auto addr = in.get<std::uint64_t>();
+      const auto len = in.get<std::uint32_t>();
+      fn(addr, in.get_span(len).data(), len);
+    }
+    return count;
+  }
+  static Time apply_cost(const cluster::CpuParams& cpu, std::size_t, std::size_t bytes) {
+    return cpu.copy_cost(bytes);
+  }
+  static std::size_t applied_arg(std::size_t, std::size_t bytes) { return bytes; }
+};
+
+// A NACK is told from a success by size alone: empty where the success
+// carries a page, one byte elsewhere (those successes are empty or the
+// 8-byte epoch view).
+Buffer nack_for(cluster::ServiceId service) {
+  Buffer nack;
+  if (service != svc::kPageRequest && service != svc::kQuorumRead) nack.put<std::uint8_t>(1);
+  return nack;
+}
+
+}  // namespace
+
 const char* protocol_name(ProtocolKind kind) {
   switch (kind) {
     case ProtocolKind::kJavaIc: return "java_ic";
@@ -37,10 +106,10 @@ DsmSystem::DsmSystem(cluster::Cluster* cluster, std::size_t region_bytes, Protoc
         [this, i](cluster::Incoming& in) { handle_page_request(in, i); });
     cluster_->node(i).register_service(
         svc::kUpdateFields, "update_fields",
-        [this, i](cluster::Incoming& in) { handle_update_fields(in, i); });
+        [this, i](cluster::Incoming& in) { handle_update<WriteLogEntry>(in, i); });
     cluster_->node(i).register_service(
         svc::kUpdateRuns, "update_runs",
-        [this, i](cluster::Incoming& in) { handle_update_runs(in, i); });
+        [this, i](cluster::Incoming& in) { handle_update<DiffRun>(in, i); });
     cluster_->node(i).register_service(
         svc::kQuorumRead, "quorum_read",
         [this, i](cluster::Incoming& in) { handle_quorum_read(in, i); });
@@ -125,47 +194,52 @@ void DsmSystem::replay_logged_writes(NodeId node, Gva begin, Gva end) {
 }
 
 // ---------------------------------------------------------------------------
-// Transport-failure degradation
+// Home calls
 
-namespace {
-Buffer clone_payload(const Buffer& b) {
-  Buffer out(b.size());
-  out.put_bytes(b.data(), b.size());
-  return out;
-}
-}  // namespace
-
-Buffer DsmSystem::rpc_with_retry(NodeId from, NodeId to, cluster::ServiceId service, Buffer msg,
-                                 const char* what) {
-  if (!cluster_->transport_active()) {
-    // Lossless network: exactly the historical path, no payload copy.
-    return cluster_->call(from, to, service, std::move(msg));
-  }
-  for (int attempt = 1;; ++attempt) {
-    cluster::RpcResult r = cluster_->call_result(
-        from, to, service, attempt < kRpcAttempts ? clone_payload(msg) : std::move(msg));
-    if (r.ok()) return std::move(r.payload);
-    if (attempt >= kRpcAttempts) {
-      HYP_PANIC(std::string(what) + " abandoned after " + std::to_string(attempt) +
-                " attempts: " + r.error.message);
+Buffer DsmSystem::home_call(ThreadCtx& t, NodeId& target, Gva route,
+                            cluster::ServiceId service, std::size_t reply_bytes,
+                            bool caller_regroups, const char* what,
+                            FunctionRef<Buffer()> build) {
+  if (ha_ == nullptr) {
+    const bool lossy = cluster_->transport_active();
+    int failures = 0;
+    for (int nacks = 0;;) {
+      Buffer reply;
+      if (!lossy) {
+        reply = cluster_->call(t.node, target, service, build());
+      } else {
+        cluster::RpcResult r = cluster_->call_result(t.node, target, service, build());
+        if (!r.ok()) {
+          if (++failures >= kRpcAttempts) {
+            HYP_PANIC(std::string(what) + " abandoned after " + std::to_string(failures) +
+                      " attempts: " + r.error.message);
+          }
+          continue;
+        }
+        reply = std::move(r.payload);
+      }
+      if (!migrations_enabled() || caller_regroups || reply.size() == reply_bytes) return reply;
+      // Migration NACK: the home moved while the request was in flight. The
+      // override table is updated synchronously at migration, so one
+      // re-resolve converges; the guard bounds a pathological ping-pong.
+      // Lossy retries keep their payload (same op id), so an op an earlier
+      // home did apply reattaches instead of double-applying.
+      if (++nacks >= 64) HYP_PANIC(std::string(what) + ": migration reroute did not converge");
+      t.stats->add(Counter::kHaReroutes);
+      target = effective_home_of(route);
+      failures = 0;
     }
   }
-}
-
-Buffer DsmSystem::ha_rpc_home(ThreadCtx& t, PageId p, cluster::ServiceId service,
-                              const Buffer& msg, bool reply_is_page, const char* what) {
-  HYP_DCHECK(ha_ != nullptr);
   const std::size_t epoch_bytes = fencing_ ? sizeof(std::uint64_t) : 0;
-  const std::size_t ok_size = (reply_is_page ? layout_.page_bytes() : 0) + epoch_bytes;
+  const std::size_t ok_size = reply_bytes + epoch_bytes;
   auto* eng = sim::Engine::current();
   const Time started = cluster_->engine().now();
-  NodeId target = effective_home_of_page(p);
   int attempts_at_target = 0;
   bool rerouted = false;
   // The guard bounds pathological NACK/re-resolve loops; a real failover
   // converges in a handful of iterations (single-failure model).
   for (int guard = 0; guard < 64; ++guard) {
-    const NodeId now_home = effective_home_of_page(p);
+    const NodeId now_home = effective_home_of(route);
     if (now_home != target) {
       // The zone's home moved (promotion): fresh retry budget at the new one.
       target = now_home;
@@ -174,13 +248,7 @@ Buffer DsmSystem::ha_rpc_home(ThreadCtx& t, PageId p, cluster::ServiceId service
       t.stats->add(Counter::kHaReroutes);
     }
     ++attempts_at_target;
-    // The fencing epoch is prepended per attempt, not baked into msg: a retry
-    // after a local epoch bump must carry the fresh view, or the promoted
-    // home would fence the same stale request forever.
-    Buffer payload(msg.size() + epoch_bytes);
-    if (fencing_) payload.put<std::uint64_t>(ha_->node_epoch(t.node));
-    payload.put_bytes(msg.data(), msg.size());
-    cluster::RpcResult r = cluster_->call_result(t.node, target, service, std::move(payload));
+    cluster::RpcResult r = cluster_->call_result(t.node, target, service, build());
     if (r.ok() && r.payload.size() == ok_size) {
       if (fencing_) {
         // The reply leads with the serving home's epoch view: a reply from a
@@ -201,8 +269,8 @@ Buffer DsmSystem::ha_rpc_home(ThreadCtx& t, PageId p, cluster::ServiceId service
                         static_cast<std::uint64_t>(cluster_->engine().now() - started));
       }
       if (!fencing_) return std::move(r.payload);
-      Buffer out(r.payload.size() - epoch_bytes);
-      out.put_bytes(r.payload.data() + epoch_bytes, r.payload.size() - epoch_bytes);
+      Buffer out(reply_bytes);
+      out.put_bytes(r.payload.data() + epoch_bytes, reply_bytes);
       return out;
     }
     if (!r.ok() && r.error.status == cluster::RpcStatus::kNoQuorum) {
@@ -234,9 +302,9 @@ Buffer DsmSystem::ha_rpc_home(ThreadCtx& t, PageId p, cluster::ServiceId service
     const Time at = cluster_->engine().now();
     Time hold = ha_->retry_hold(target, at);
     if (fencing_ && r.ok()) {
-      // The NACK may mean OUR epoch is stale (the empty reply cannot say):
-      // a node inside an open partition window catches up only at the heal,
-      // so retrying before then just burns the guard against more fences.
+      // The NACK may mean OUR epoch is stale (the NACK cannot say): a node
+      // inside an open partition window catches up only at the heal, so
+      // retrying before then just burns the guard against more fences.
       // Reaches here when the minority node addresses a bystander home that
       // is outside every partition group but already on the new epoch.
       const Time release = cluster_->params().fault.partition_release(t.node, at);
@@ -246,6 +314,25 @@ Buffer DsmSystem::ha_rpc_home(ThreadCtx& t, PageId p, cluster::ServiceId service
   }
   HYP_PANIC(std::string(what) + ": home failover did not converge (epoch " +
             std::to_string(ha_->epoch()) + ")");
+}
+
+bool DsmSystem::fenced(cluster::Incoming& in, NodeId self, cluster::ServiceId service) {
+  if (!fencing_) return false;
+  const auto msg_epoch = in.reader.get<std::uint64_t>();
+  if (msg_epoch >= ha_->node_epoch(self)) return false;
+  // The request was built under a routing view this node has superseded (a
+  // promotion happened between send and receive): a stale-epoch caller must
+  // not read or mutate home state.
+  cluster_->node(self).stats().add(Counter::kHaFencedRejects);
+  cluster_->trace_event(self, cluster::TraceKind::kHaFencedReject,
+                        static_cast<std::int64_t>(msg_epoch), service);
+  cluster_->reply(in, nack_for(service));
+  return true;
+}
+
+void DsmSystem::nack_stale(cluster::Incoming& in, NodeId self, cluster::ServiceId service) {
+  cluster_->trace_event(self, cluster::TraceKind::kHaNack, in.from, service);
+  cluster_->reply(in, nack_for(service));
 }
 
 // ---------------------------------------------------------------------------
@@ -266,43 +353,27 @@ void DsmSystem::fetch_page(ThreadCtx& t, PageId p) {
   const std::size_t page_bytes = layout_.page_bytes();
   const auto& cpu = cluster_->params().cpu;
 
-  Buffer req;
-  req.put<std::uint32_t>(p);
   Buffer reply;
-  if (ha_ == nullptr) {
-    reply = rpc_with_retry(t.node, home, svc::kPageRequest, std::move(req), "page fetch");
-    // Migration reroute (hybrid, no HA): an empty reply is the old home's
-    // NACK — the page's home moved while our request was in flight. The
-    // override table is updated synchronously at migration, so re-resolving
-    // converges in one hop; the guard bounds a pathological ping-pong.
-    int guard = 0;
-    while (migrations_enabled() && reply.size() != page_bytes) {
-      HYP_CHECK_MSG(++guard < 64, "page fetch: migration reroute did not converge");
-      t.stats->add(Counter::kHaReroutes);
-      home = effective_home_of_page(p);
-      Buffer again;
-      again.put<std::uint32_t>(p);
-      reply = rpc_with_retry(t.node, home, svc::kPageRequest, std::move(again), "page fetch");
-    }
-  } else if (fencing_ && ha_->suspected(home) && try_quorum_read(t, p, home, &reply)) {
+  if (fencing_ && ha_->suspected(home) && try_quorum_read(t, p, home, &reply)) {
     // Suspected-home window: a majority of the home's chain backups served
     // the read, so the fetch skips the detector's confirm wait entirely.
   } else {
-    reply = ha_rpc_home(t, p, svc::kPageRequest, req, /*reply_is_page=*/true, "page fetch");
-    home = effective_home_of_page(p);  // the node that actually served us
-    if (t.nd->present(p)) {
-      // A promotion made this node home for the page while we were failing
-      // over: the arena bytes are already authoritative — installing the
-      // reply as a "cached replica" would corrupt the presence table.
-      t.nd->finish_fetch(p);
-      return;
-    }
+    auto build = [&] {
+      Buffer req;
+      put_epoch(&req, t.node);
+      req.put<std::uint32_t>(p);
+      return req;
+    };
+    home = effective_home_of_page(p);
+    reply = home_call(t, home, layout_.page_base(p), svc::kPageRequest, page_bytes,
+                      /*caller_regroups=*/false, "page fetch", build);
+    if (ha_ != nullptr) home = effective_home_of_page(p);  // the home after failover
   }
-  if (migrations_enabled() && t.nd->present(p)) {
-    // The page migrated TO this node while the fetch was in flight (the old
-    // home served us, then picked this node as the dominant writer): the
-    // arena bytes are already authoritative — installing the reply as a
-    // cached replica would corrupt the presence table.
+  if (t.nd->present(p)) {
+    // A promotion or a migration made this node the page's home while the
+    // fetch was in flight: the arena bytes are already authoritative —
+    // installing the reply as a cached replica would corrupt the presence
+    // table.
     t.nd->finish_fetch(p);
     return;
   }
@@ -336,39 +407,28 @@ void DsmSystem::fetch_until_present(ThreadCtx& t, PageId p) {
 }
 
 void DsmSystem::handle_page_request(cluster::Incoming& in, NodeId self) {
-  std::uint64_t msg_epoch = 0;
-  if (fencing_) msg_epoch = in.reader.get<std::uint64_t>();
+  if (fenced(in, self, svc::kPageRequest)) return;
   const auto p = in.reader.get<std::uint32_t>();
   NodeDsm& nd = node_dsm(self);
-  if (fencing_ && msg_epoch < ha_->node_epoch(self)) {
-    // Epoch fence: the request was built under a routing view this node has
-    // already superseded (a promotion happened between send and receive).
-    // NACK so the caller re-resolves against the current home map.
-    cluster_->node(self).stats().add(Counter::kHaFencedRejects);
-    cluster_->trace_event(self, cluster::TraceKind::kHaFencedReject,
-                          static_cast<std::int64_t>(msg_epoch), svc::kPageRequest);
-    cluster_->reply(in, Buffer{});
-    return;
-  }
-  if ((ha_ != nullptr || migrations_enabled()) && !nd.is_home(p)) {
+  if (!nd.is_home(p)) {
     // Stale-home straggler: a retransmit that outlived a promotion, a
     // request reaching a restarted (demoted) node, or a request that raced a
-    // hybrid home migration. NACK with an empty reply (success replies are
-    // page_bytes long) so the caller re-resolves.
-    cluster_->trace_event(self, cluster::TraceKind::kHaNack, in.from, svc::kPageRequest);
-    cluster_->reply(in, Buffer{});
+    // hybrid home migration.
+    HYP_CHECK_MSG(ha_ != nullptr || migrations_enabled(), "page request reached a non-home node");
+    nack_stale(in, self, svc::kPageRequest);
     return;
   }
-  HYP_CHECK_MSG(nd.is_home(p), "page request reached a non-home node");
+  reply_page(in, self, nd.page_ptr(p));
+}
 
+void DsmSystem::reply_page(cluster::Incoming& in, NodeId self, const std::byte* page) {
+  // The serving node's CPU/service copies the page out; the reply departs
+  // when that work completes.
   const std::size_t page_bytes = layout_.page_bytes();
-  // The home's CPU/service copies the page out; the reply departs when that
-  // work completes.
   const Time done_at = cluster_->node(self).extend_service(
       cluster_->params().cpu.copy_cost(page_bytes));
-  Buffer out;
-  if (fencing_) out.put<std::uint64_t>(ha_->node_epoch(self));
-  out.put_bytes(nd.page_ptr(p), page_bytes);
+  Buffer out = home_ack(self);
+  out.put_bytes(page, page_bytes);
   cluster_->reply(in, std::move(out), done_at - cluster_->engine().now());
 }
 
@@ -424,27 +484,15 @@ bool DsmSystem::try_quorum_read(ThreadCtx& t, PageId p, NodeId home, Buffer* out
 }
 
 void DsmSystem::handle_quorum_read(cluster::Incoming& in, NodeId self) {
-  const auto msg_epoch = in.reader.get<std::uint64_t>();
+  HYP_CHECK_MSG(fencing_, "quorum reads are issued only under epoch fencing");
+  if (fenced(in, self, svc::kQuorumRead)) return;
   const auto p = in.reader.get<std::uint32_t>();
-  if (!fencing_ || msg_epoch < ha_->node_epoch(self)) {
-    cluster_->node(self).stats().add(Counter::kHaFencedRejects);
-    cluster_->trace_event(self, cluster::TraceKind::kHaFencedReject,
-                          static_cast<std::int64_t>(msg_epoch), svc::kQuorumRead);
-    cluster_->reply(in, Buffer{});
-    return;
-  }
   // The chain backup serves the page from its replicated copy of the home's
   // state. The modeled checkpoint stream keeps replicas current with every
   // committed update (docs/RECOVERY.md), so the effective home's arena IS the
   // replica's contents — the simulator reads it directly instead of keeping a
   // second materialized copy per backup.
-  const std::size_t page_bytes = layout_.page_bytes();
-  const Time done_at = cluster_->node(self).extend_service(
-      cluster_->params().cpu.copy_cost(page_bytes));
-  Buffer out;
-  out.put<std::uint64_t>(ha_->node_epoch(self));
-  out.put_bytes(node_dsm(effective_home_of_page(p)).page_ptr(p), page_bytes);
-  cluster_->reply(in, std::move(out), done_at - cluster_->engine().now());
+  reply_page(in, self, node_dsm(effective_home_of_page(p)).page_ptr(p));
 }
 
 // ---------------------------------------------------------------------------
@@ -594,18 +642,77 @@ void DsmSystem::invalidate_cache(ThreadCtx& t) {
   t.clock.flush();
 }
 
+// ---------------------------------------------------------------------------
+// The update pipeline: collect -> route -> ship (docs/PROTOCOLS.md §update
+// pipeline)
+//
+// The protocols differ only in which item sources they fill:
+//   fields — the write log, last writer wins, first-touch order (java_ic,
+//            hybrid's ic-mode pages), shipped as svc::kUpdateFields;
+//   runs   — maximal runs of modified words from the twin diff (java_pf,
+//            hybrid's pf-mode pages), shipped as svc::kUpdateRuns: u32
+//            run_count, then per run (u64 gva, u32 len, raw bytes).
+// Under a bounded dedup window every update message leads with a u64 update
+// id; under epoch fencing home_call prepends the epoch per attempt.
+
 void DsmSystem::update_main_memory(ThreadCtx& t) {
   // A consistency action is a synchronization point: materialize the
   // thread's batched compute first (otherwise pending time is silently
   // dropped on paths that have nothing to flush, e.g. thread termination).
   t.clock.flush();
-  if (kind_ == ProtocolKind::kJavaIc) {
-    flush_ic(t);
-  } else if (kind_ == ProtocolKind::kJavaPf) {
-    flush_pf(t);
-  } else {
-    flush_hybrid(t);
+  const auto& cpu = cluster_->params().cpu;
+  FlushScratch& s = t.scratch;
+  s.begin(t.wlog.size());
+  // The paper protocols group each source once, before the collect charge
+  // yields; hybrid keys its cohorts at send time instead.
+  const bool ascending = !migrations_enabled();
+
+  if (!t.wlog.empty()) {
+    for (const auto& e : t.wlog.entries()) {
+      bool fresh = false;
+      IcDedupTable::Slot* slot = s.dedup.find_or_insert(e.addr, &fresh);
+      if (fresh) {
+        slot->index = static_cast<std::uint32_t>(s.fields.pending.size());
+        s.fields.pending.push_back(e);
+      } else {
+        s.fields.pending[slot->index] = e;
+      }
+    }
+    if (ascending) group_ascending(s.fields);
+    t.clock.charge(cpu.cycles(cpu.update_entry_cycles * t.wlog.size()));
+    t.clock.flush();
   }
+
+  if (kind_ != ProtocolKind::kJavaIc) {
+    // Scan, snapshot and twin refresh happen atomically in virtual time (no
+    // yields): a same-node thread writing during our later sends must see
+    // its own writes as fresh diffs against the refreshed twin, not have
+    // them silently absorbed.
+    const std::size_t page_bytes = layout_.page_bytes();
+    std::uint64_t diff_words = 0;
+    for (PageId p : t.nd->cached_pages()) {
+      if (!t.nd->has_twin(p)) continue;
+      t.clock.charge(cpu.diff_cost(page_bytes));
+      const std::byte* cur = t.nd->page_ptr(p);
+      const Gva base = layout_.page_base(p);
+      const std::size_t modified =
+          scan_diff_runs(cur, t.nd->twin(p), page_bytes / 8, [&](std::size_t b, std::size_t e) {
+            const auto offset = static_cast<std::uint32_t>(s.run_bytes.size());
+            s.run_bytes.insert(s.run_bytes.end(), cur + b * 8, cur + e * 8);
+            s.runs.pending.push_back(
+                DiffRun{base + b * 8, offset, static_cast<std::uint32_t>((e - b) * 8)});
+          });
+      if (modified != 0) t.nd->refresh_twin(p);
+      diff_words += modified;
+    }
+    if (ascending) group_ascending(s.runs);
+    t.stats->add(Counter::kDiffWords, diff_words);
+    t.clock.flush();
+  }
+
+  route(t, s.fields);
+  t.wlog.clear();
+  route(t, s.runs);
 }
 
 void DsmSystem::on_acquire(ThreadCtx& t) {
@@ -617,120 +724,118 @@ void DsmSystem::on_acquire(ThreadCtx& t) {
 
 void DsmSystem::on_release(ThreadCtx& t) { update_main_memory(t); }
 
-// ---------------------------------------------------------------------------
-// java_ic: field-granularity write-log flush
-
-void DsmSystem::flush_ic(ThreadCtx& t) {
-  if (t.wlog.empty()) return;
-  const auto& cpu = cluster_->params().cpu;
-  const std::size_t homes = static_cast<std::size_t>(cluster_->node_count());
-
-  // Last-writer-wins per field, grouped by home node, preserving first-touch
-  // order for determinism. The scratch dedup table and per-home flat vectors
-  // reproduce the old std::map semantics exactly — first-touch order within a
-  // home, homes sent in ascending id order — without per-flush allocation.
-  // With K > 1 chain replicas, two zones homed at one node today may be
-  // re-elected to *different* nodes tomorrow, so groups must be zone-pure:
-  // key on the layout owner (== the zone id) instead of the current home.
-  // With K == 1 all zones at a node always move together, so keying on the
-  // effective home is safe and keeps the historical path byte-identical.
-  const bool zone_pure = ha_ != nullptr && ha_->replicas() > 1;
-
-  FlushScratch& s = t.scratch;
-  s.begin_ic(homes, t.wlog.size());
-  for (const auto& e : t.wlog.entries()) {
-    bool fresh = false;
-    IcDedupTable::Slot* slot = s.dedup.find_or_insert(e.addr, &fresh);
-    if (fresh) {
-      // Under HA the effective home may be the local node (entries logged
-      // before a promotion made us home); they get a direct local apply in
-      // the send loop below.
-      const NodeId home = (ha_ == nullptr || zone_pure) ? layout_.home_of(e.addr)
-                                                        : effective_home_of(e.addr);
-      HYP_CHECK_MSG(home != t.node || ha_ != nullptr, "home-page writes are never logged");
-      auto& vec = s.ic_by_home[static_cast<std::size_t>(home)];
-      slot->home = static_cast<std::uint32_t>(home);
-      slot->index = static_cast<std::uint32_t>(vec.size());
-      vec.push_back(e);
-    } else {
-      s.ic_by_home[slot->home][slot->index] = e;
-    }
-  }
-
-  t.clock.charge(cpu.cycles(cpu.update_entry_cycles * t.wlog.size()));
-  t.clock.flush();
-  for (std::size_t h = 0; h < homes; ++h) {
-    auto& entries = s.ic_by_home[h];
-    if (entries.empty()) continue;
-    // Zone-pure groups are keyed by layout owner; resolve the zone's CURRENT
-    // home for the local-apply test and the trace destination (ha_rpc_home
-    // re-resolves per attempt anyway, so a mid-flush promotion is absorbed).
-    const NodeId home = zone_pure ? effective_home_of(entries.front().addr)
-                                  : static_cast<NodeId>(h);
-    if (ha_ != nullptr && home == t.node) {
-      // Post-promotion local apply: this node IS the home now; write the
-      // identical bytes the wire would have carried straight into the arena.
-      for (const auto& e : entries) {
-        std::memcpy(t.nd->arena() + e.addr, &e.value, e.size);
-      }
-      t.clock.charge(cpu.cycles(cpu.update_entry_cycles * entries.size()));
-      t.clock.flush();
-      continue;
-    }
-    Buffer msg;
-    // Bounded dedup window: tag the message so a late re-delivery of an
-    // evicted packet cannot stale-revert newer home bytes (see dsm.hpp).
-    // (When fencing is on, ha_rpc_home prepends the epoch per attempt.)
-    if (update_ids_active()) msg.put<std::uint64_t>(next_update_id_++);
-    WriteLog::encode(&msg, entries);
-    t.stats->add(Counter::kUpdatesSent);
-    t.stats->add(Counter::kUpdateBytes, msg.size());
-    t.stats->record(Hist::kUpdatePayloadBytes, msg.size());
-    if (heat_ != nullptr) [[unlikely]] {
-      for (const auto& e : entries) heat_->record_update(layout_.page_of(e.addr), e.size);
-    }
-    cluster_->trace_event(t.node, cluster::TraceKind::kUpdateSent, home,
-                          static_cast<std::int64_t>(msg.size()));
-    if (ha_ == nullptr) {
-      Buffer ack =
-          rpc_with_retry(t.node, home, svc::kUpdateFields, std::move(msg), "write-log flush");
-      HYP_CHECK(ack.empty());
-    } else {
-      // Re-resolution key: the first entry's page. Groups never mix zones
-      // with different owners: K == 1 moves all of a node's zones together,
-      // K > 1 uses zone-pure grouping above (docs/RECOVERY.md).
-      Buffer ack = ha_rpc_home(t, layout_.page_of(entries.front().addr), svc::kUpdateFields,
-                               msg, /*reply_is_page=*/false, "write-log flush");
-      HYP_CHECK(ack.empty());
-    }
-  }
-  t.wlog.clear();
+template <typename Item>
+void DsmSystem::group_ascending(ItemQueue<Item>& q) {
+  // Key: the layout home, or under HA with K == 1 the effective home (all of
+  // a node's zones move together). With K > 1 chain replicas two zones homed
+  // at one node may be re-elected to different nodes, so groups stay
+  // zone-pure: key on the zone owner, which is the layout home.
+  const bool by_zone = ha_ == nullptr || ha_->replicas() > 1;
+  auto key = [&](const Item& it) {
+    return static_cast<std::size_t>(by_zone ? layout_.home_of(it.addr)
+                                            : effective_home_of(it.addr));
+  };
+  // Stable counting sort into `rest`: first-touch order within a group.
+  q.ends.assign(static_cast<std::size_t>(cluster_->node_count()) + 1, 0);
+  for (const Item& it : q.pending) ++q.ends[key(it) + 1];
+  for (std::size_t k = 1; k < q.ends.size(); ++k) q.ends[k] += q.ends[k - 1];
+  q.rest.resize(q.pending.size());
+  for (const Item& it : q.pending) q.rest[q.ends[key(it)]++] = it;
 }
 
-void DsmSystem::handle_update_fields(cluster::Incoming& in, NodeId self) {
-  NodeDsm& nd = node_dsm(self);
-  if (fencing_) {
-    const auto msg_epoch = in.reader.get<std::uint64_t>();
-    if (msg_epoch < ha_->node_epoch(self)) {
-      // Epoch fence: a stale-epoch writer must not mutate home state (its
-      // routing view predates a promotion). 1-byte NACK, like the stale-home
-      // case below — the caller re-resolves and re-sends under a fresh epoch.
-      cluster_->node(self).stats().add(Counter::kHaFencedRejects);
-      cluster_->trace_event(self, cluster::TraceKind::kHaFencedReject,
-                            static_cast<std::int64_t>(msg_epoch), svc::kUpdateFields);
-      Buffer nack;
-      nack.put<std::uint8_t>(1);
-      cluster_->reply(in, std::move(nack));
-      return;
+template <typename Item>
+void DsmSystem::route(ThreadCtx& t, ItemQueue<Item>& q) {
+  if (!migrations_enabled()) {
+    const bool zone_pure = ha_ != nullptr && ha_->replicas() > 1;
+    std::uint32_t begin = 0;
+    for (std::size_t k = 0; k + 1 < q.ends.size(); ++k) {
+      const std::uint32_t end = q.ends[k];
+      if (end == begin) continue;
+      const Item* group = q.rest.data() + begin;
+      // Zone-pure groups resolve the zone's CURRENT home here (home_call
+      // re-resolves per attempt anyway, so a mid-flush promotion is absorbed).
+      const NodeId home = zone_pure ? effective_home_of(group->addr) : static_cast<NodeId>(k);
+      const bool delivered = ship(t, home, group, end - begin);
+      HYP_CHECK(delivered);
+      begin = end;
+    }
+    return;
+  }
+  // hybrid: a page's home can move between building a message and its
+  // delivery, so take the first pending item's key, peel off everything
+  // sharing it and send; a NACK leaves the cohort pending and the next round
+  // re-keys against the (synchronously updated) override table. Under HA the
+  // key is the page itself, so home_call's re-resolve converges on a single
+  // moving page; without HA cohorts share an effective home, matching the
+  // paper protocols' message counts whenever no migration is in flight.
+  const bool page_pure = ha_ != nullptr;
+  for (int guard = 0; !q.pending.empty();) {
+    HYP_CHECK_MSG(++guard < 256, "hybrid flush: reroute did not converge");
+    q.cohort.clear();
+    q.rest.clear();
+    const PageId lead = layout_.page_of(q.pending.front().addr);
+    const NodeId home = effective_home_of_page(lead);
+    for (const Item& it : q.pending) {
+      const bool same = page_pure ? layout_.page_of(it.addr) == lead
+                                  : effective_home_of(it.addr) == home;
+      (same ? q.cohort : q.rest).push_back(it);
+    }
+    if (ship(t, home, q.cohort.data(), q.cohort.size())) q.pending.swap(q.rest);
+  }
+}
+
+template <typename Item>
+bool DsmSystem::ship(ThreadCtx& t, NodeId home, const Item* items, std::size_t n) {
+  using Src = UpdateSource<Item>;
+  const auto& cpu = cluster_->params().cpu;
+  const std::byte* arena = t.scratch.run_bytes.data();
+  if (home == t.node) {
+    // A promotion or migration made this node the home: apply exactly the
+    // bytes the wire would have carried straight into the arena.
+    HYP_CHECK_MSG(ha_ != nullptr || migrations_enabled(), "home-page writes are never logged");
+    std::size_t bytes = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+      std::memcpy(t.nd->arena() + items[i].addr, Src::payload(items[i], arena),
+                  Src::len(items[i]));
+      bytes += Src::len(items[i]);
+    }
+    t.clock.charge(Src::apply_cost(cpu, n, bytes));
+    t.clock.flush();
+    return true;
+  }
+  // Bounded dedup window: tag the message so a late re-delivery of an
+  // evicted packet cannot stale-revert newer home bytes (see dsm.hpp).
+  const std::uint64_t id = update_ids_active() ? next_update_id_++ : 0;
+  std::size_t size = (id != 0 ? sizeof(id) : 0) + sizeof(std::uint32_t);
+  for (std::size_t i = 0; i < n; ++i) size += Src::kItemHeader + Src::len(items[i]);
+  t.stats->add(Counter::kUpdatesSent);
+  t.stats->add(Counter::kUpdateBytes, size);
+  t.stats->record(Hist::kUpdatePayloadBytes, size);
+  if (heat_ != nullptr) [[unlikely]] {
+    for (std::size_t i = 0; i < n; ++i) {
+      heat_->record_update(layout_.page_of(items[i].addr), Src::len(items[i]));
     }
   }
-  // Success acks carry the home's epoch view when fencing is on (callers
-  // validate it); the historical ack is empty.
-  auto make_ack = [&] {
-    Buffer ack;
-    if (fencing_) ack.put<std::uint64_t>(ha_->node_epoch(self));
-    return ack;
+  cluster_->trace_event(t.node, cluster::TraceKind::kUpdateSent, home,
+                        static_cast<std::int64_t>(size));
+  auto build = [&] {
+    Buffer msg(size + sizeof(std::uint64_t));
+    put_epoch(&msg, t.node);
+    if (id != 0) msg.put<std::uint64_t>(id);
+    msg.put<std::uint32_t>(static_cast<std::uint32_t>(n));
+    for (std::size_t i = 0; i < n; ++i) Src::encode(&msg, items[i], arena);
+    return msg;
   };
+  NodeId target = effective_home_of(items[0].addr);
+  const Buffer ack = home_call(t, target, items[0].addr, Src::kService, /*reply_bytes=*/0,
+                               /*caller_regroups=*/true, Src::kWhat, build);
+  return ack.empty();
+}
+
+template <typename Item>
+void DsmSystem::handle_update(cluster::Incoming& in, NodeId self) {
+  using Src = UpdateSource<Item>;
+  if (fenced(in, self, Src::kService)) return;
   // Bounded dedup window: a re-delivered (window-evicted) update that was
   // already applied must NOT re-apply — its bytes may be stale by now. Just
   // re-ack (the original ack may be what got lost; a completed caller slot
@@ -740,455 +845,60 @@ void DsmSystem::handle_update_fields(cluster::Incoming& in, NodeId self) {
     update_id = in.reader.get<std::uint64_t>();
     if (applied_updates_[static_cast<std::size_t>(self)].count(update_id) != 0) {
       cluster_->node(self).stats().add_named("dsm_update_replays_absorbed");
-      cluster_->reply(in, make_ack());
+      cluster_->reply(in, home_ack(self));
       return;
     }
   }
-  // Streaming apply: no per-message entry vector (zero-allocation path).
+  // Streaming apply: no per-message item vector (zero-allocation path).
+  NodeDsm& nd = node_dsm(self);
   bool stale = false;
-  std::size_t applied_bytes = 0;
-  if (migrations_enabled()) mig_batch_.clear();
-  const std::size_t count = WriteLog::decode_each(in.reader, [&](const WriteLogEntry& e) {
-    const PageId pg = layout_.page_of(e.addr);
-    const bool home = nd.is_home(pg);
-    if ((ha_ != nullptr || migrations_enabled()) && !home) {
+  std::size_t bytes = 0;
+  mig_batch_.clear();
+  const std::size_t count = Src::decode_each(in.reader, [&](Gva addr, const void* src,
+                                                            std::uint32_t len) {
+    const PageId pg = layout_.page_of(addr);
+    if (!nd.is_home(pg)) {
       // Stale-home straggler (one group never mixes pages with different
-      // routing fates, so the whole message is stale together): NACK below.
+      // routing fates, so the whole message is stale together): keep
+      // consuming the reader, NACK below.
+      HYP_CHECK_MSG(ha_ != nullptr || migrations_enabled(), "update reached a non-home node");
       stale = true;
       return;
     }
-    HYP_CHECK_MSG(home, "update reached a non-home node");
-    std::memcpy(nd.arena() + e.addr, &e.value, e.size);
-    applied_bytes += e.size;
+    std::memcpy(nd.arena() + addr, src, len);
+    bytes += len;
     if (migrations_enabled()) {
       // Per-page byte subtotals for the dominant-writer tracker (fed after
       // the whole message has applied — migrating mid-decode would misroute
-      // the remaining entries).
-      bool found = false;
-      for (auto& pr : mig_batch_) {
-        if (pr.first == pg) {
-          pr.second += e.size;
-          found = true;
-          break;
-        }
+      // the remaining items).
+      auto it = mig_batch_.begin();
+      while (it != mig_batch_.end() && it->first != pg) ++it;
+      if (it == mig_batch_.end()) {
+        mig_batch_.emplace_back(pg, len);
+      } else {
+        it->second += len;
       }
-      if (!found) mig_batch_.emplace_back(pg, e.size);
     }
   });
   if (stale) {
-    cluster_->trace_event(self, cluster::TraceKind::kHaNack, in.from, svc::kUpdateFields);
-    Buffer nack;
-    nack.put<std::uint8_t>(1);
-    cluster_->reply(in, std::move(nack));
+    nack_stale(in, self, Src::kService);
     return;
   }
   // Record only on actual apply: a NACKed straggler was NOT applied here, and
   // must stay replayable in case a later promotion makes this node home.
   if (update_id != 0) applied_updates_[static_cast<std::size_t>(self)].insert(update_id);
-  if (ha_ != nullptr && applied_bytes != 0) {
-    // Home state changed: incremental checkpoint traffic to the backup
-    // (field-granularity, piggybacked on this very update — docs/RECOVERY.md).
-    ha_->note_checkpoint(self, applied_bytes);
-  }
-  if (migrations_enabled()) {
-    for (const auto& pr : mig_batch_) note_remote_update(self, pr.first, in.from, pr.second);
-    mig_batch_.clear();
-  }
-  const Time done_at = cluster_->node(self).extend_service(
-      cluster_->params().cpu.cycles(cluster_->params().cpu.update_entry_cycles * count));
+  // Home state changed: incremental checkpoint traffic to the backup,
+  // piggybacked on this very update (docs/RECOVERY.md).
+  if (ha_ != nullptr && bytes != 0) ha_->note_checkpoint(self, bytes);
+  for (const auto& pr : mig_batch_) note_remote_update(self, pr.first, in.from, pr.second);
+  mig_batch_.clear();
+  const Time done_at =
+      cluster_->node(self).extend_service(Src::apply_cost(cluster_->params().cpu, count, bytes));
   // Home-side confirmation of the flush; pairs with the sender's kUpdateSent
   // for cross-node Perfetto flow arrows (docs/OBSERVABILITY.md).
   cluster_->trace_event(self, cluster::TraceKind::kUpdateApplied, in.from,
-                        static_cast<std::int64_t>(count));
-  cluster_->reply(in, make_ack(), done_at - cluster_->engine().now());
-}
-
-// ---------------------------------------------------------------------------
-// java_pf: twin/diff flush
-//
-// Wire format per home: u32 run_count, then per run (u64 gva, u32 len, raw
-// bytes). Runs are maximal spans of modified 8-byte words.
-
-namespace {
-// Both the arena page and the twin are at least 8-byte aligned; memcpy of a
-// u64 compiles to one plain load.
-inline std::uint64_t load_word(const std::byte* base, std::size_t w) {
-  std::uint64_t v;
-  std::memcpy(&v, base + w * 8, 8);
-  return v;
-}
-}  // namespace
-
-void DsmSystem::flush_pf(ThreadCtx& t) {
-  const auto& cpu = cluster_->params().cpu;
-  const std::size_t page_bytes = layout_.page_bytes();
-  const std::size_t homes = static_cast<std::size_t>(cluster_->node_count());
-
-  // Zone-pure grouping under K > 1 chain replicas (see flush_ic).
-  const bool zone_pure = ha_ != nullptr && ha_->replicas() > 1;
-
-  FlushScratch& s = t.scratch;
-  s.begin_pf(homes);
-  std::uint64_t diff_words = 0;
-
-  // Scan, snapshot and twin-refresh happen atomically in virtual time (no
-  // yields): a same-node thread writing during our later sends must see its
-  // own writes as fresh diffs against the refreshed twin, not have them
-  // silently absorbed. Run payloads are snapshotted into the shared scratch
-  // arena (offsets, not pointers: the arena may grow mid-scan).
-  //
-  // The scan compares aligned u64 words, skipping clean 64-byte chunks with
-  // one OR-of-XORs test. Run boundaries are identical to a word-at-a-time
-  // scan — a chunk is skipped only when all eight words match — so emitted
-  // messages are bit-identical to the old memcmp loop.
-  for (PageId p : t.nd->cached_pages()) {
-    if (!t.nd->has_twin(p)) continue;
-    t.clock.charge(cpu.diff_cost(page_bytes));
-    const std::byte* cur = t.nd->page_ptr(p);
-    const std::byte* twin = t.nd->twin(p);
-    const std::size_t words = page_bytes / 8;
-    bool page_dirty = false;
-    auto& runs = s.pf_by_home[static_cast<std::size_t>(
-        (ha_ == nullptr || zone_pure) ? layout_.home_of_page(p) : effective_home_of_page(p))];
-    std::size_t w = 0;
-    while (w < words) {
-      if ((w & 7) == 0 && w + 8 <= words) {
-        std::uint64_t acc = 0;
-        for (std::size_t k = 0; k < 8; ++k) {
-          acc |= load_word(cur, w + k) ^ load_word(twin, w + k);
-        }
-        if (acc == 0) {
-          w += 8;
-          continue;
-        }
-      }
-      if (load_word(cur, w) == load_word(twin, w)) {
-        ++w;
-        continue;
-      }
-      const std::size_t run_begin = w;
-      while (w < words && load_word(cur, w) != load_word(twin, w)) ++w;
-      const std::size_t run_words = w - run_begin;
-      diff_words += run_words;
-      page_dirty = true;
-      const auto offset = static_cast<std::uint32_t>(s.run_bytes.size());
-      s.run_bytes.insert(s.run_bytes.end(), cur + run_begin * 8, cur + w * 8);
-      runs.push_back(DiffRun{layout_.page_base(p) + run_begin * 8, offset,
-                             static_cast<std::uint32_t>(run_words * 8)});
-    }
-    if (page_dirty) t.nd->refresh_twin(p);
-  }
-
-  t.stats->add(Counter::kDiffWords, diff_words);
-  t.clock.flush();
-
-  for (std::size_t h = 0; h < homes; ++h) {
-    auto& runs = s.pf_by_home[h];
-    if (runs.empty()) continue;
-    // Zone-pure groups resolve the zone's CURRENT home here (see flush_ic).
-    const NodeId home =
-        zone_pure ? effective_home_of(runs.front().addr) : static_cast<NodeId>(h);
-    if (ha_ != nullptr && home == t.node) {
-      // Post-promotion local apply (normally unreachable: promotion strips
-      // the zone's pages from the cached list — kept for safety).
-      std::size_t bytes = 0;
-      for (const DiffRun& r : runs) {
-        std::memcpy(t.nd->arena() + r.addr, s.run_bytes.data() + r.offset, r.len);
-        bytes += r.len;
-      }
-      t.clock.charge(cpu.copy_cost(bytes));
-      t.clock.flush();
-      continue;
-    }
-    Buffer msg;
-    // Bounded dedup window: tag the message (see flush_ic / dsm.hpp;
-    // ha_rpc_home prepends the fencing epoch per attempt).
-    if (update_ids_active()) msg.put<std::uint64_t>(next_update_id_++);
-    msg.put<std::uint32_t>(static_cast<std::uint32_t>(runs.size()));
-    for (const DiffRun& r : runs) {
-      msg.put<std::uint64_t>(r.addr);
-      msg.put<std::uint32_t>(r.len);
-      msg.put_bytes(s.run_bytes.data() + r.offset, r.len);
-    }
-    t.stats->add(Counter::kUpdatesSent);
-    t.stats->add(Counter::kUpdateBytes, msg.size());
-    t.stats->record(Hist::kUpdatePayloadBytes, msg.size());
-    if (heat_ != nullptr) [[unlikely]] {
-      for (const DiffRun& r : runs) heat_->record_update(layout_.page_of(r.addr), r.len);
-    }
-    cluster_->trace_event(t.node, cluster::TraceKind::kUpdateSent, home,
-                          static_cast<std::int64_t>(msg.size()));
-    if (ha_ == nullptr) {
-      Buffer ack = rpc_with_retry(t.node, home, svc::kUpdateRuns, std::move(msg), "diff flush");
-      HYP_CHECK(ack.empty());
-    } else {
-      Buffer ack = ha_rpc_home(t, layout_.page_of(runs.front().addr), svc::kUpdateRuns, msg,
-                               /*reply_is_page=*/false, "diff flush");
-      HYP_CHECK(ack.empty());
-    }
-  }
-}
-
-void DsmSystem::handle_update_runs(cluster::Incoming& in, NodeId self) {
-  NodeDsm& nd = node_dsm(self);
-  if (fencing_) {
-    const auto msg_epoch = in.reader.get<std::uint64_t>();
-    if (msg_epoch < ha_->node_epoch(self)) {
-      // Epoch fence (see handle_update_fields).
-      cluster_->node(self).stats().add(Counter::kHaFencedRejects);
-      cluster_->trace_event(self, cluster::TraceKind::kHaFencedReject,
-                            static_cast<std::int64_t>(msg_epoch), svc::kUpdateRuns);
-      Buffer nack;
-      nack.put<std::uint8_t>(1);
-      cluster_->reply(in, std::move(nack));
-      return;
-    }
-  }
-  auto make_ack = [&] {
-    Buffer ack;
-    if (fencing_) ack.put<std::uint64_t>(ha_->node_epoch(self));
-    return ack;
-  };
-  // Bounded dedup window: skip already-applied replays (see
-  // handle_update_fields).
-  std::uint64_t update_id = 0;
-  if (update_ids_active()) {
-    update_id = in.reader.get<std::uint64_t>();
-    if (applied_updates_[static_cast<std::size_t>(self)].count(update_id) != 0) {
-      cluster_->node(self).stats().add_named("dsm_update_replays_absorbed");
-      cluster_->reply(in, make_ack());
-      return;
-    }
-  }
-  const auto runs = in.reader.get<std::uint32_t>();
-  std::size_t total_bytes = 0;
-  bool stale = false;
-  if (migrations_enabled()) mig_batch_.clear();
-  for (std::uint32_t i = 0; i < runs; ++i) {
-    const auto addr = in.reader.get<std::uint64_t>();
-    const auto len = in.reader.get<std::uint32_t>();
-    auto bytes = in.reader.get_span(len);
-    const PageId pg = layout_.page_of(addr);
-    const bool home = nd.is_home(pg);
-    if ((ha_ != nullptr || migrations_enabled()) && !home) {
-      stale = true;  // keep consuming the reader; NACK the whole message
-      continue;
-    }
-    HYP_CHECK_MSG(home, "diff reached a non-home node");
-    std::memcpy(nd.arena() + addr, bytes.data(), len);
-    total_bytes += len;
-    if (migrations_enabled()) {
-      bool found = false;
-      for (auto& pr : mig_batch_) {
-        if (pr.first == pg) {
-          pr.second += len;
-          found = true;
-          break;
-        }
-      }
-      if (!found) mig_batch_.emplace_back(pg, static_cast<std::uint64_t>(len));
-    }
-  }
-  if (stale) {
-    cluster_->trace_event(self, cluster::TraceKind::kHaNack, in.from, svc::kUpdateRuns);
-    Buffer nack;
-    nack.put<std::uint8_t>(1);
-    cluster_->reply(in, std::move(nack));
-    return;
-  }
-  if (update_id != 0) applied_updates_[static_cast<std::size_t>(self)].insert(update_id);
-  if (ha_ != nullptr && total_bytes != 0) ha_->note_checkpoint(self, total_bytes);
-  if (migrations_enabled()) {
-    for (const auto& pr : mig_batch_) note_remote_update(self, pr.first, in.from, pr.second);
-    mig_batch_.clear();
-  }
-  const Time done_at =
-      cluster_->node(self).extend_service(cluster_->params().cpu.copy_cost(total_bytes));
-  cluster_->trace_event(self, cluster::TraceKind::kUpdateApplied, in.from,
-                        static_cast<std::int64_t>(total_bytes));
-  cluster_->reply(in, make_ack(), done_at - cluster_->engine().now());
-}
-
-// ---------------------------------------------------------------------------
-// hybrid: write-log + twin-diff flush with migration-aware routing
-//
-// Wire formats are exactly flush_ic's (svc::kUpdateFields) and flush_pf's
-// (svc::kUpdateRuns); only the grouping differs. Because a page's home can
-// move between building a message and its delivery, each send loop works on
-// a pending set: take the first pending item's routing key, peel off
-// everything sharing it, send; a NACK leaves the cohort pending and the next
-// iteration re-resolves against the (synchronously updated) override table.
-// Under HA the key is the page itself — page-pure cohorts, so ha_rpc_home's
-// internal re-resolve loop converges on a single moving page — while without
-// HA cohorts group by effective home, matching the paper protocols' message
-// counts whenever no migration is in flight.
-
-void DsmSystem::flush_hybrid(ThreadCtx& t) {
-  const auto& cpu = cluster_->params().cpu;
-  const std::size_t page_bytes = layout_.page_bytes();
-  FlushScratch& s = t.scratch;
-  s.begin_hybrid(t.wlog.size());
-
-  // Last-writer-wins dedup of the ic-mode write log into one flat vector,
-  // first-touch order (same semantics as flush_ic).
-  for (const auto& e : t.wlog.entries()) {
-    bool fresh = false;
-    IcDedupTable::Slot* slot = s.dedup.find_or_insert(e.addr, &fresh);
-    if (fresh) {
-      slot->home = 0;
-      slot->index = static_cast<std::uint32_t>(s.hy_pending.size());
-      s.hy_pending.push_back(e);
-    } else {
-      s.hy_pending[slot->index] = e;
-    }
-  }
-  if (!t.wlog.empty()) {
-    t.clock.charge(cpu.cycles(cpu.update_entry_cycles * t.wlog.size()));
-    t.clock.flush();
-  }
-
-  // Twin diffs of the pf-mode replicas (identical scan to flush_pf).
-  std::uint64_t diff_words = 0;
-  for (PageId p : t.nd->cached_pages()) {
-    if (!t.nd->has_twin(p)) continue;
-    t.clock.charge(cpu.diff_cost(page_bytes));
-    const std::byte* cur = t.nd->page_ptr(p);
-    const std::byte* twin = t.nd->twin(p);
-    const std::size_t words = page_bytes / 8;
-    bool page_dirty = false;
-    std::size_t w = 0;
-    while (w < words) {
-      if ((w & 7) == 0 && w + 8 <= words) {
-        std::uint64_t acc = 0;
-        for (std::size_t k = 0; k < 8; ++k) {
-          acc |= load_word(cur, w + k) ^ load_word(twin, w + k);
-        }
-        if (acc == 0) {
-          w += 8;
-          continue;
-        }
-      }
-      if (load_word(cur, w) == load_word(twin, w)) {
-        ++w;
-        continue;
-      }
-      const std::size_t run_begin = w;
-      while (w < words && load_word(cur, w) != load_word(twin, w)) ++w;
-      const std::size_t run_words = w - run_begin;
-      diff_words += run_words;
-      page_dirty = true;
-      const auto offset = static_cast<std::uint32_t>(s.run_bytes.size());
-      s.run_bytes.insert(s.run_bytes.end(), cur + run_begin * 8, cur + w * 8);
-      s.hy_runs_pending.push_back(DiffRun{layout_.page_base(p) + run_begin * 8, offset,
-                                          static_cast<std::uint32_t>(run_words * 8)});
-    }
-    if (page_dirty) t.nd->refresh_twin(p);
-  }
-  t.stats->add(Counter::kDiffWords, diff_words);
-  t.clock.flush();
-
-  const bool page_pure = ha_ != nullptr;
-
-  // --- ship the deduped write-log entries (svc::kUpdateFields) -------------
-  int guard = 0;
-  while (!s.hy_pending.empty()) {
-    HYP_CHECK_MSG(++guard < 256, "hybrid flush: field reroute did not converge");
-    s.hy_cohort.clear();
-    s.hy_rest.clear();
-    const PageId lead_page = layout_.page_of(s.hy_pending.front().addr);
-    const NodeId home = effective_home_of_page(lead_page);
-    for (const auto& e : s.hy_pending) {
-      const bool same = page_pure ? layout_.page_of(e.addr) == lead_page
-                                  : effective_home_of(e.addr) == home;
-      (same ? s.hy_cohort : s.hy_rest).push_back(e);
-    }
-    if (home == t.node) {
-      // A migration landed the home here: apply exactly the bytes the wire
-      // would have carried straight into the arena.
-      for (const auto& e : s.hy_cohort) {
-        std::memcpy(t.nd->arena() + e.addr, &e.value, e.size);
-      }
-      t.clock.charge(cpu.cycles(cpu.update_entry_cycles * s.hy_cohort.size()));
-      t.clock.flush();
-      s.hy_pending.swap(s.hy_rest);
-      continue;
-    }
-    Buffer msg;
-    if (update_ids_active()) msg.put<std::uint64_t>(next_update_id_++);
-    WriteLog::encode(&msg, s.hy_cohort);
-    t.stats->add(Counter::kUpdatesSent);
-    t.stats->add(Counter::kUpdateBytes, msg.size());
-    t.stats->record(Hist::kUpdatePayloadBytes, msg.size());
-    if (heat_ != nullptr) [[unlikely]] {
-      for (const auto& e : s.hy_cohort) heat_->record_update(layout_.page_of(e.addr), e.size);
-    }
-    cluster_->trace_event(t.node, cluster::TraceKind::kUpdateSent, home,
-                          static_cast<std::int64_t>(msg.size()));
-    if (ha_ == nullptr) {
-      Buffer ack =
-          rpc_with_retry(t.node, home, svc::kUpdateFields, std::move(msg), "write-log flush");
-      if (!ack.empty()) continue;  // migration NACK: re-resolve and resend
-    } else {
-      Buffer ack = ha_rpc_home(t, lead_page, svc::kUpdateFields, msg,
-                               /*reply_is_page=*/false, "write-log flush");
-      HYP_CHECK(ack.empty());
-    }
-    s.hy_pending.swap(s.hy_rest);
-  }
-  t.wlog.clear();
-
-  // --- ship the diff runs (svc::kUpdateRuns) -------------------------------
-  guard = 0;
-  while (!s.hy_runs_pending.empty()) {
-    HYP_CHECK_MSG(++guard < 256, "hybrid flush: run reroute did not converge");
-    s.hy_runs_cohort.clear();
-    s.hy_runs_rest.clear();
-    const PageId lead_page = layout_.page_of(s.hy_runs_pending.front().addr);
-    const NodeId home = effective_home_of_page(lead_page);
-    for (const DiffRun& r : s.hy_runs_pending) {
-      const bool same = page_pure ? layout_.page_of(r.addr) == lead_page
-                                  : effective_home_of(r.addr) == home;
-      (same ? s.hy_runs_cohort : s.hy_runs_rest).push_back(r);
-    }
-    if (home == t.node) {
-      std::size_t bytes = 0;
-      for (const DiffRun& r : s.hy_runs_cohort) {
-        std::memcpy(t.nd->arena() + r.addr, s.run_bytes.data() + r.offset, r.len);
-        bytes += r.len;
-      }
-      t.clock.charge(cpu.copy_cost(bytes));
-      t.clock.flush();
-      s.hy_runs_pending.swap(s.hy_runs_rest);
-      continue;
-    }
-    Buffer msg;
-    if (update_ids_active()) msg.put<std::uint64_t>(next_update_id_++);
-    msg.put<std::uint32_t>(static_cast<std::uint32_t>(s.hy_runs_cohort.size()));
-    for (const DiffRun& r : s.hy_runs_cohort) {
-      msg.put<std::uint64_t>(r.addr);
-      msg.put<std::uint32_t>(r.len);
-      msg.put_bytes(s.run_bytes.data() + r.offset, r.len);
-    }
-    t.stats->add(Counter::kUpdatesSent);
-    t.stats->add(Counter::kUpdateBytes, msg.size());
-    t.stats->record(Hist::kUpdatePayloadBytes, msg.size());
-    if (heat_ != nullptr) [[unlikely]] {
-      for (const DiffRun& r : s.hy_runs_cohort) {
-        heat_->record_update(layout_.page_of(r.addr), r.len);
-      }
-    }
-    cluster_->trace_event(t.node, cluster::TraceKind::kUpdateSent, home,
-                          static_cast<std::int64_t>(msg.size()));
-    if (ha_ == nullptr) {
-      Buffer ack = rpc_with_retry(t.node, home, svc::kUpdateRuns, std::move(msg), "diff flush");
-      if (!ack.empty()) continue;  // migration NACK: re-resolve and resend
-    } else {
-      Buffer ack = ha_rpc_home(t, lead_page, svc::kUpdateRuns, msg,
-                               /*reply_is_page=*/false, "diff flush");
-      HYP_CHECK(ack.empty());
-    }
-    s.hy_runs_pending.swap(s.hy_runs_rest);
-  }
+                        static_cast<std::int64_t>(Src::applied_arg(count, bytes)));
+  cluster_->reply(in, home_ack(self), done_at - cluster_->engine().now());
 }
 
 // ---------------------------------------------------------------------------
@@ -1254,31 +964,10 @@ void DsmSystem::maybe_migrate(NodeId self, PageId p, NodeId target) {
   if (f.crash_release(target, now) != 0) return;
   if (f.severed(self, target, now) || f.severed(target, self, now)) return;
 
-  NodeDsm& snd = node_dsm(self);
-  NodeDsm& wnd = node_dsm(target);
   const std::size_t page_bytes = layout_.page_bytes();
   const Gva begin = layout_.page_base(p);
-
-  // Realize the authoritative bytes in the new home's arena. If the target
-  // holds a pf-mode replica, its unflushed local writes (cur != twin words)
-  // survive: only clean words take the home's bytes (cf. HaManager::move_zone
-  // preserving the backup's pending diffs during zone failover).
-  if (wnd.has_twin(p)) {
-    std::byte* cur = wnd.page_ptr(p);
-    const std::byte* twin = wnd.twin(p);
-    const std::byte* src = snd.page_ptr(p);
-    for (std::size_t w = 0; w < page_bytes / 8; ++w) {
-      if (load_word(cur, w) == load_word(twin, w)) {
-        std::memcpy(cur + w * 8, src + w * 8, 8);
-      }
-    }
-  } else {
-    std::memcpy(wnd.page_ptr(p), snd.page_ptr(p), page_bytes);
-  }
-  wnd.promote_to_home(p, p + 1);
-  // Unflushed ic-mode stores of the target's threads stay visible as well.
-  replay_logged_writes(target, begin, begin + page_bytes);
-  snd.demote_home(p, p + 1);
+  hand_over_page(p, self, target);
+  node_dsm(self).demote_home(p, p + 1);
   home_override_[p] = target;
   mig_[p] = MigStat{};
 
@@ -1293,6 +982,30 @@ void DsmSystem::maybe_migrate(NodeId self, PageId p, NodeId target) {
   cluster_->node(target).extend_service(cpu.copy_cost(page_bytes));
   if (ha_ != nullptr) ha_->note_checkpoint(target, page_bytes);
   if (home_moved_) home_moved_(self, target, begin, begin + page_bytes);
+}
+
+void DsmSystem::hand_over_page(PageId p, NodeId from, NodeId to) {
+  NodeDsm& src = node_dsm(from);
+  NodeDsm& dst = node_dsm(to);
+  const std::size_t page_bytes = layout_.page_bytes();
+  // If `to` holds a pf-mode replica, its unflushed local writes (cur != twin
+  // words) survive: only clean words take the home's bytes (cf.
+  // HaManager::move_zone preserving the backup's pending diffs).
+  if (dst.has_twin(p)) {
+    std::byte* cur = dst.page_ptr(p);
+    const std::byte* twin = dst.twin(p);
+    for (std::size_t w = 0; w < page_bytes / 8; ++w) {
+      if (load_word(cur, w) == load_word(twin, w)) {
+        std::memcpy(cur + w * 8, src.page_ptr(p) + w * 8, 8);
+      }
+    }
+  } else {
+    std::memcpy(dst.page_ptr(p), src.page_ptr(p), page_bytes);
+  }
+  dst.promote_to_home(p, p + 1);
+  // Unflushed ic-mode stores of `to`'s threads stay visible as well.
+  const Gva begin = layout_.page_base(p);
+  replay_logged_writes(to, begin, begin + page_bytes);
 }
 
 void DsmSystem::on_node_dead(NodeId dead) {
@@ -1310,25 +1023,10 @@ void DsmSystem::on_node_dead(NodeId dead) {
     dnd.demote_home(p, p + 1);
     const NodeId back = effective_home_of_page(p);
     if (back == dead) continue;  // its own zone: confirm_death's failover realizes it
-    NodeDsm& bnd = node_dsm(back);
-    const Gva begin = layout_.page_base(p);
     // Re-realize the page at the fallback home from the dead node's
-    // replicated state, preserving the fallback's own unflushed writes
-    // exactly as maybe_migrate does.
-    if (bnd.has_twin(p)) {
-      std::byte* cur = bnd.page_ptr(p);
-      const std::byte* twin = bnd.twin(p);
-      const std::byte* src = dnd.page_ptr(p);
-      for (std::size_t w = 0; w < page_bytes / 8; ++w) {
-        if (load_word(cur, w) == load_word(twin, w)) {
-          std::memcpy(cur + w * 8, src + w * 8, 8);
-        }
-      }
-    } else {
-      std::memcpy(bnd.page_ptr(p), dnd.page_ptr(p), page_bytes);
-    }
-    bnd.promote_to_home(p, p + 1);
-    replay_logged_writes(back, begin, begin + page_bytes);
+    // replicated state, preserving the fallback's own unflushed writes.
+    hand_over_page(p, dead, back);
+    const Gva begin = layout_.page_base(p);
     cluster_->node(back).stats().add_named("dsm_migrations_reverted");
     cluster_->trace_event(dead, cluster::TraceKind::kHomeMigrated, p, back);
     if (home_moved_) home_moved_(dead, back, begin, begin + page_bytes);

@@ -39,6 +39,8 @@
 
 #include "cluster/cluster.hpp"
 #include "cluster/ha_hooks.hpp"
+#include "cluster/service_ids.hpp"
+#include "common/function.hpp"
 #include "common/stats.hpp"
 #include "common/units.hpp"
 #include "dsm/address.hpp"
@@ -54,14 +56,6 @@ enum class ProtocolKind { kJavaIc, kJavaPf, kHybrid };
 
 const char* protocol_name(ProtocolKind kind);
 ProtocolKind protocol_by_name(const std::string& name);
-
-// RPC service ids used by the memory subsystem.
-namespace svc {
-inline constexpr cluster::ServiceId kPageRequest = 10;
-inline constexpr cluster::ServiceId kUpdateFields = 11;  // java_ic write log
-inline constexpr cluster::ServiceId kUpdateRuns = 12;    // java_pf diff runs
-inline constexpr cluster::ServiceId kQuorumRead = 13;    // backup-served page read
-}  // namespace svc
 
 class DsmSystem;
 
@@ -142,6 +136,44 @@ class DsmSystem {
   // --- consistency hooks wired to monitors (DSM-PM2 lock hooks) -----------
   void on_acquire(ThreadCtx& t);  // flush, then invalidate
   void on_release(ThreadCtx& t);  // flush
+
+  // --- home calls (shared with the monitors) --------------------------------
+  // The one caller-side loop for a blocking call to a home: starts at
+  // `target` and leaves there the node that answered; `route` is the address
+  // whose effective home a retry re-resolves. `build` makes the payload once
+  // per attempt, so a retry after an epoch bump carries the fresh view.
+  //   lossless, no HA: one direct Cluster::call;
+  //   lossy:  whole-call retry on typed transport failure, kRpcAttempts per
+  //           target, then abort naming `what` (docs/FAULTS.md);
+  //   hybrid: a reply other than `reply_bytes` long is a migration NACK:
+  //           re-resolve and resend (kHaReroutes) — or, with
+  //           `caller_regroups`, return it so the update pipeline regroups;
+  //   HA:     re-resolve per attempt, discard fenced replies, hold on
+  //           kNoQuorum and while the target is down but unconfirmed
+  //           (docs/RECOVERY.md, docs/PARTITIONS.md).
+  // Returns the reply body without the fencing epoch.
+  Buffer home_call(ThreadCtx& t, NodeId& target, Gva route, cluster::ServiceId service,
+                   std::size_t reply_bytes, bool caller_regroups, const char* what,
+                   FunctionRef<Buffer()> build);
+  // Appends `node`'s epoch view when epoch fencing is on (partitions).
+  void put_epoch(Buffer* b, NodeId node) const {
+    if (fencing_) b->put<std::uint64_t>(ha_->node_epoch(node));
+  }
+  // A home's success reply header: empty, or its epoch view under fencing.
+  Buffer home_ack(NodeId self) const {
+    Buffer ack;
+    put_epoch(&ack, self);
+    return ack;
+  }
+  // Home side: consumes the request's epoch token (fencing only); when it
+  // predates `self`'s view, NACKs before any state is touched and returns
+  // true — the caller's retry under the fresh epoch is a first apply.
+  bool fenced(cluster::Incoming& in, NodeId self, cluster::ServiceId service);
+  // Home side: NACKs a request for a page or monitor `self` no longer homes
+  // (HA promotion or hybrid migration) so the caller re-resolves. A page
+  // request's NACK is empty (its success carries the page); every other
+  // NACK is one byte (successes are empty or the 8-byte epoch).
+  void nack_stale(cluster::Incoming& in, NodeId self, cluster::ServiceId service);
 
   // --- protocol cold paths (called from the access policies) --------------
   void miss_ic(ThreadCtx& t, PageId p);
@@ -246,12 +278,25 @@ class DsmSystem {
   // time to Hist::kPageFetchLatency and Phase::kBlockedFetch (observation
   // only: the waits themselves are unchanged).
   void fetch_until_present(ThreadCtx& t, PageId p);
-  void flush_ic(ThreadCtx& t);
-  void flush_pf(ThreadCtx& t);
-  // hybrid flush: the write log covers ic-mode pages, twin diffs cover
-  // pf-mode pages; both are shipped grouped by *current* effective home with
-  // a rebuild-on-NACK loop so a mid-flight migration reroutes the remainder.
-  void flush_hybrid(ThreadCtx& t);
+
+  // --- the update pipeline (docs/PROTOCOLS.md §update pipeline) -------------
+  // Item = WriteLogEntry (svc::kUpdateFields) or DiffRun (svc::kUpdateRuns).
+  // Ascending router: groups q.pending by its historical key, in one pass
+  // and before any yield.
+  template <typename Item>
+  void group_ascending(ItemQueue<Item>& q);
+  // Ships q's groups: ascending key order, or (hybrid) first-touch cohorts
+  // keyed at send time and regrouped after a migration NACK.
+  template <typename Item>
+  void route(ThreadCtx& t, ItemQueue<Item>& q);
+  // Sends one group to `home` (applying it locally when that is this node);
+  // false = migration NACK, nothing applied.
+  template <typename Item>
+  bool ship(ThreadCtx& t, NodeId home, const Item* items, std::size_t n);
+  // Home side of both update services: the shared envelope around the
+  // source's body decoder.
+  template <typename Item>
+  void handle_update(cluster::Incoming& in, NodeId self);
 
   // --- hybrid mode switching + home migration ------------------------------
   // Epoch lengths are virtual-time constants (decisions stay byte-identical
@@ -277,11 +322,16 @@ class DsmSystem {
   // migrates the page's home to a sustained dominant writer (see .cpp).
   void note_remote_update(NodeId self, PageId p, NodeId from, std::uint64_t bytes);
   void maybe_migrate(NodeId self, PageId p, NodeId target);
+  // Makes `to` the home of `p` with the authoritative bytes from `from`'s
+  // arena, keeping `to`'s own unflushed writes: words still equal to its
+  // twin take the home's bytes, then its threads' logged stores are replayed.
+  void hand_over_page(PageId p, NodeId from, NodeId to);
 
   void handle_page_request(cluster::Incoming& in, NodeId self);
-  void handle_update_fields(cluster::Incoming& in, NodeId self);
-  void handle_update_runs(cluster::Incoming& in, NodeId self);
   void handle_quorum_read(cluster::Incoming& in, NodeId self);
+  // Replies with `page` behind the home_ack header, after the serving
+  // node's copy-out time.
+  void reply_page(cluster::Incoming& in, NodeId self, const std::byte* page);
 
   // Quorum read from the chain backups while `home` is suspected but not yet
   // confirmed dead (docs/PARTITIONS.md): succeeds iff a strict majority of
@@ -290,25 +340,10 @@ class DsmSystem {
   // possibly parking path) when no quorum is available.
   bool try_quorum_read(ThreadCtx& t, PageId p, NodeId home, Buffer* out);
 
-  // Blocking RPC with whole-call re-request on typed transport failure
-  // (docs/FAULTS.md). Every DSM RPC is idempotent — page reads obviously,
-  // updates because re-applying the same bytes is a no-op — so when the
-  // reliable transport gives up (budget exhausted / reply undeliverable) the
-  // call is simply reissued, up to kRpcAttempts times; then the run aborts
-  // with the transport's diagnostic naming the peer node and service. On a
-  // lossless network this is exactly cluster::call().
-  Buffer rpc_with_retry(NodeId from, NodeId to, cluster::ServiceId service, Buffer msg,
-                        const char* what);
+  // home_call's per-target budget for typed transport failures. Re-issuing
+  // a whole call is safe: page reads are idempotent, updates are absolute
+  // bytes (replays absorbed by update id, below), monitor ops carry op ids.
   static constexpr int kRpcAttempts = 3;
-
-  // HA-aware home RPC: re-resolves the effective home of `p`'s zone on every
-  // attempt (a failed call against a node the detector confirms dead gets a
-  // fresh budget against the promoted backup), treats a wrong-size reply as
-  // a stale-home NACK, and holds while the target is down-but-unconfirmed.
-  // `reply_is_page` selects the success shape: page_bytes (page fetch, NACK
-  // = empty) vs empty (update ack, NACK = 1 byte).
-  Buffer ha_rpc_home(ThreadCtx& t, PageId p, cluster::ServiceId service, const Buffer& msg,
-                     bool reply_is_page, const char* what);
 
   // --- bounded-dedup-window replay absorption (docs/FAULTS.md) -------------
   //

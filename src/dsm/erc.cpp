@@ -1,6 +1,7 @@
 #include "dsm/erc.hpp"
 
 #include "common/assert.hpp"
+#include "dsm/flush_scratch.hpp"
 
 namespace hyp::dsm {
 
@@ -98,25 +99,13 @@ void ErcDsm::on_release(ErcThreadCtx& t) {
     if (!nd.has_twin(p)) continue;
     t.clock.charge(cpu.diff_cost(page_bytes));
     const std::byte* cur = nd.page_ptr(p);
-    const std::byte* twin = nd.twin(p);
-    const std::size_t words = page_bytes / 8;
-    bool dirty = false;
-    std::size_t w = 0;
-    while (w < words) {
-      if (std::memcmp(cur + w * 8, twin + w * 8, 8) == 0) {
-        ++w;
-        continue;
-      }
-      const std::size_t begin = w;
-      while (w < words && std::memcmp(cur + w * 8, twin + w * 8, 8) != 0) ++w;
-      Run run;
-      run.addr = layout_.page_base(p) + begin * 8;
-      run.bytes.assign(cur + begin * 8, cur + w * 8);
-      t.stats->add(Counter::kDiffWords, w - begin);
-      by_home[layout_.home_of_page(p)].push_back(std::move(run));
-      dirty = true;
-    }
-    if (dirty) nd.refresh_twin(p);
+    const std::size_t modified =
+        scan_diff_runs(cur, nd.twin(p), page_bytes / 8, [&](std::size_t b, std::size_t e) {
+          by_home[layout_.home_of_page(p)].push_back(
+              Run{layout_.page_base(p) + b * 8, {cur + b * 8, cur + e * 8}});
+        });
+    t.stats->add(Counter::kDiffWords, modified);
+    if (modified != 0) nd.refresh_twin(p);
   }
   t.clock.flush();
 

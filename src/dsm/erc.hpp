@@ -26,19 +26,13 @@
 #include <vector>
 
 #include "cluster/cluster.hpp"
+#include "cluster/service_ids.hpp"
 #include "common/node_set.hpp"
 #include "dsm/address.hpp"
 #include "dsm/node_dsm.hpp"
 #include "dsm/write_log.hpp"
 
 namespace hyp::dsm {
-
-namespace svc {
-inline constexpr cluster::ServiceId kErcFetch = 40;      // join sharers, get page
-inline constexpr cluster::ServiceId kErcRelease = 41;    // diffs -> home
-inline constexpr cluster::ServiceId kErcUpdate = 42;     // home -> sharer
-inline constexpr cluster::ServiceId kErcUpdateAck = 43;  // sharer -> home
-}  // namespace svc
 
 class ErcDsm;
 

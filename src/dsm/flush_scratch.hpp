@@ -1,17 +1,18 @@
-// Reusable per-thread scratch state for the consistency flush hot paths.
+// Reusable per-thread state of the update pipeline, plus its twin-diff
+// scanner.
 //
 // updateMainMemory runs at EVERY monitor entry/exit (§3.1), so its host cost
-// is paid millions of times per paper-size run. The original implementation
-// built fresh std::maps and per-run byte vectors on each flush; this scratch
-// keeps the equivalent structures alive on the ThreadCtx and recycles them:
+// is paid millions of times per paper-size run. DsmSystem's one update
+// pipeline (collect -> route -> ship, docs/PROTOCOLS.md §update pipeline)
+// keeps its working sets on the ThreadCtx and recycles them, so a warm flush
+// never touches the allocator:
 //
-//   * java_ic — an open-addressing, generation-stamped dedup table
-//     (addr -> (home, index)) plus one flat entry vector per home node.
-//     First-touch order within a home and ascending-home send order exactly
-//     match the old std::map semantics, so messages are bit-identical.
-//   * java_pf — per-home flat run vectors whose payload bytes all land in
-//     one shared append-only arena (offsets, not pointers, survive arena
-//     growth).
+//   * a generation-stamped open-addressing dedup table (addr -> index) that
+//     makes the write log last-writer-wins in first-touch order;
+//   * per item source (write-log entries, twin-diff runs) one ItemQueue: the
+//     collected items plus the router's cohort/rest splits and group ends;
+//   * one append-only arena holding every diff run's payload bytes (runs
+//     store offsets, not pointers, so arena growth is harmless).
 //
 // Nothing here is visible in simulated time: the scratch only changes how
 // fast the host computes the same messages (docs/PERFORMANCE.md).
@@ -19,6 +20,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <vector>
 
 #include "common/assert.hpp"
@@ -27,15 +29,54 @@
 
 namespace hyp::dsm {
 
-// Open-addressing hash table: Gva -> (home, index-in-home-vector), cleared
-// in O(1) by bumping a generation stamp. Linear probing, power-of-two
-// capacity kept at least 2x the expected entry count.
+// Both the arena page and the twin are at least 8-byte aligned; memcpy of a
+// u64 compiles to one plain load.
+inline std::uint64_t load_word(const std::byte* base, std::size_t w) {
+  std::uint64_t v;
+  std::memcpy(&v, base + w * 8, 8);
+  return v;
+}
+
+// The twin-diff scanner shared by every twin-based protocol: calls
+// emit(first_word, end_word) for each maximal run of 8-byte words where
+// `cur` differs from `twin`, in address order, and returns the number of
+// modified words. Clean 64-byte chunks are skipped with one OR-of-XORs test;
+// a chunk is skipped only when all eight words match, so run boundaries are
+// exactly those of a word-at-a-time compare.
+template <typename Emit>
+std::size_t scan_diff_runs(const std::byte* cur, const std::byte* twin, std::size_t words,
+                           Emit&& emit) {
+  std::size_t modified = 0;
+  std::size_t w = 0;
+  while (w < words) {
+    if ((w & 7) == 0 && w + 8 <= words) {
+      std::uint64_t acc = 0;
+      for (std::size_t k = 0; k < 8; ++k) acc |= load_word(cur, w + k) ^ load_word(twin, w + k);
+      if (acc == 0) {
+        w += 8;
+        continue;
+      }
+    }
+    if (load_word(cur, w) == load_word(twin, w)) {
+      ++w;
+      continue;
+    }
+    const std::size_t begin = w;
+    while (w < words && load_word(cur, w) != load_word(twin, w)) ++w;
+    modified += w - begin;
+    emit(begin, w);
+  }
+  return modified;
+}
+
+// Open-addressing hash table: Gva -> index in the pending vector, cleared in
+// O(1) by bumping a generation stamp. Linear probing, power-of-two capacity
+// kept at least 2x the expected entry count.
 class IcDedupTable {
  public:
   struct Slot {
     Gva addr = 0;
     std::uint32_t gen = 0;
-    std::uint32_t home = 0;
     std::uint32_t index = 0;
   };
 
@@ -55,7 +96,7 @@ class IcDedupTable {
   }
 
   // Returns the slot for `addr`; `*fresh` reports whether it was vacant.
-  // The caller fills home/index on fresh insertion.
+  // The caller fills the index on fresh insertion.
   Slot* find_or_insert(Gva addr, bool* fresh) {
     std::size_t i = hash(addr) & mask_;
     while (true) {
@@ -87,53 +128,43 @@ class IcDedupTable {
   std::uint32_t gen_ = 0;
 };
 
-// One modified-word run found by the java_pf twin diff: `len` payload bytes
-// at `offset` in the shared `run_bytes` arena, destined for `addr`.
+// One modified-word run found by the twin diff: `len` payload bytes at
+// `offset` in the shared `run_bytes` arena, destined for `addr`.
 struct DiffRun {
   Gva addr;
   std::uint32_t offset;
   std::uint32_t len;
 };
 
-struct FlushScratch {
-  // --- java_ic -------------------------------------------------------------
-  IcDedupTable dedup;
-  std::vector<std::vector<WriteLogEntry>> ic_by_home;
+// One item source's routing state. `pending` holds the collected items in
+// first-touch order. The ascending router counting-sorts them into `rest`,
+// leaving ends[k] = the end of key k's group; the migration-aware router
+// splits `pending` into the `cohort` it ships next and the `rest`.
+template <typename Item>
+struct ItemQueue {
+  std::vector<Item> pending, cohort, rest;
+  std::vector<std::uint32_t> ends;
 
-  // --- java_pf -------------------------------------------------------------
-  std::vector<std::vector<DiffRun>> pf_by_home;
+  void clear() {
+    pending.clear();
+    cohort.clear();
+    rest.clear();
+    ends.clear();
+  }
+};
+
+struct FlushScratch {
+  IcDedupTable dedup;
+  ItemQueue<WriteLogEntry> fields;
+  ItemQueue<DiffRun> runs;
   std::vector<std::byte> run_bytes;  // shared payload arena, reset per flush
 
-  // --- hybrid --------------------------------------------------------------
-  // The hybrid flush reroutes on migration NACKs, repeatedly re-partitioning
-  // the not-yet-acked remainder by its *current* effective home. These hold
-  // the pending/cohort/rest splits across iterations (same recycling
-  // discipline as above; never visible in simulated time).
-  std::vector<WriteLogEntry> hy_pending, hy_cohort, hy_rest;
-  std::vector<DiffRun> hy_runs_pending, hy_runs_cohort, hy_runs_rest;
-
-  // Clears per-home state for a new flush without releasing capacity.
-  void begin_ic(std::size_t homes, std::size_t expected_entries) {
-    if (ic_by_home.size() < homes) ic_by_home.resize(homes);
-    for (auto& v : ic_by_home) v.clear();
+  // Clears every source for a new flush without releasing capacity.
+  void begin(std::size_t expected_entries) {
     dedup.begin(expected_entries);
-  }
-
-  void begin_pf(std::size_t homes) {
-    if (pf_by_home.size() < homes) pf_by_home.resize(homes);
-    for (auto& v : pf_by_home) v.clear();
+    fields.clear();
+    runs.clear();
     run_bytes.clear();
-  }
-
-  void begin_hybrid(std::size_t expected_entries) {
-    hy_pending.clear();
-    hy_cohort.clear();
-    hy_rest.clear();
-    hy_runs_pending.clear();
-    hy_runs_cohort.clear();
-    hy_runs_rest.clear();
-    run_bytes.clear();
-    dedup.begin(expected_entries);
   }
 };
 

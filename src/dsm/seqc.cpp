@@ -8,8 +8,6 @@ namespace hyp::dsm {
 
 namespace {
 // Extra client-side services of the seqc protocol.
-constexpr cluster::ServiceId kSeqInvAck = 34;       // reader -> home
-constexpr cluster::ServiceId kSeqRecallReply = 35;  // owner -> home
 constexpr std::uint64_t kDirectoryCycles = 80;      // home bookkeeping per transition
 }  // namespace
 
@@ -38,11 +36,11 @@ SeqDsm::SeqDsm(cluster::Cluster* cluster, std::size_t region_bytes)
         svc::kSeqRecall, [this, i](cluster::Incoming& in) { handle_recall(in, i); });
     cluster_->node(i).register_service(
         svc::kSeqInvalidate, [this, i](cluster::Incoming& in) { handle_invalidate(in, i); });
-    cluster_->node(i).register_service(kSeqInvAck, [this, i](cluster::Incoming& in) {
+    cluster_->node(i).register_service(svc::kSeqInvAck, [this, i](cluster::Incoming& in) {
       const auto p = in.reader.get<std::uint32_t>();
       handle_invalidate_ack(i, p);
     });
-    cluster_->node(i).register_service(kSeqRecallReply, [this, i](cluster::Incoming& in) {
+    cluster_->node(i).register_service(svc::kSeqRecallReply, [this, i](cluster::Incoming& in) {
       const auto p = in.reader.get<std::uint32_t>();
       handle_recall_reply(i, p, in.reader);
     });
@@ -182,7 +180,7 @@ void SeqDsm::write_complete(SeqThreadCtx& t, PageId p) {
     back.put<std::uint32_t>(p);
     back.put_bytes(nodes_[static_cast<std::size_t>(t.node)]->page_ptr(p),
                    layout_.page_bytes());
-    cluster_->send(t.node, home, kSeqRecallReply, std::move(back));
+    cluster_->send(t.node, home, svc::kSeqRecallReply, std::move(back));
   }
 }
 
@@ -252,7 +250,7 @@ void SeqDsm::handle_recall(cluster::Incoming& in, NodeId self) {
   back.put<std::uint32_t>(p);
   back.put_bytes(nodes_[static_cast<std::size_t>(self)]->page_ptr(p), layout_.page_bytes());
   modes_[static_cast<std::size_t>(self)][p] = drop ? SeqMode::kInvalid : SeqMode::kRead;
-  cluster_->send(self, in.from, kSeqRecallReply, std::move(back));
+  cluster_->send(self, in.from, svc::kSeqRecallReply, std::move(back));
 }
 
 void SeqDsm::handle_recall_reply(NodeId home, PageId p, BufferReader& payload) {
@@ -307,7 +305,7 @@ void SeqDsm::handle_invalidate(cluster::Incoming& in, NodeId self) {
   cluster_->node(self).stats().add(Counter::kInvalidations);
   Buffer ack;
   ack.put<std::uint32_t>(p);
-  cluster_->send(self, in.from, kSeqInvAck, std::move(ack));
+  cluster_->send(self, in.from, svc::kSeqInvAck, std::move(ack));
 }
 
 void SeqDsm::handle_invalidate_ack(NodeId home, PageId p) {

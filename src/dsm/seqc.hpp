@@ -27,18 +27,12 @@
 #include <vector>
 
 #include "cluster/cluster.hpp"
+#include "cluster/service_ids.hpp"
 #include "common/node_set.hpp"
 #include "dsm/address.hpp"
 #include "dsm/node_dsm.hpp"
 
 namespace hyp::dsm {
-
-namespace svc {
-inline constexpr cluster::ServiceId kSeqRead = 30;     // read-copy request
-inline constexpr cluster::ServiceId kSeqWrite = 31;    // exclusive request
-inline constexpr cluster::ServiceId kSeqRecall = 32;   // home -> owner
-inline constexpr cluster::ServiceId kSeqInvalidate = 33;  // home -> reader
-}  // namespace svc
 
 enum class SeqMode : std::uint8_t { kInvalid = 0, kRead = 1, kExclusive = 2 };
 

@@ -42,12 +42,13 @@ class WriteLog {
   // entry.
   static void encode(Buffer* out, const std::vector<WriteLogEntry>& entries) {
     out->put<std::uint32_t>(static_cast<std::uint32_t>(entries.size()));
-    for (const auto& e : entries) {
-      HYP_DCHECK(e.size == 1 || e.size == 2 || e.size == 4 || e.size == 8);
-      out->put<std::uint64_t>(e.addr);
-      out->put<std::uint8_t>(e.size);
-      out->put_bytes(&e.value, e.size);  // low `size` bytes (host-endian wire)
-    }
+    for (const auto& e : entries) encode_entry(out, e);
+  }
+  static void encode_entry(Buffer* out, const WriteLogEntry& e) {
+    HYP_DCHECK(e.size == 1 || e.size == 2 || e.size == 4 || e.size == 8);
+    out->put<std::uint64_t>(e.addr);
+    out->put<std::uint8_t>(e.size);
+    out->put_bytes(&e.value, e.size);  // low `size` bytes (host-endian wire)
   }
 
   // Streaming decode: invokes `fn(entry)` per entry without materializing a

@@ -59,17 +59,12 @@
 #include <vector>
 
 #include "cluster/cluster.hpp"
+#include "cluster/service_ids.hpp"
 #include "cluster/ha_hooks.hpp"
 #include "dsm/dsm.hpp"
 #include "hyperion/monitor.hpp"
 
 namespace hyp::ha {
-
-// RPC service id used by the modeled checkpoint stream (registered on every
-// node only when the stream is enabled; see HaManager::stream_enabled()).
-namespace svc {
-inline constexpr cluster::ServiceId kHaCheckpoint = 30;
-}  // namespace svc
 
 class HaManager final : public cluster::HaHooks {
  public:

@@ -1,8 +1,5 @@
 #include "hyperion/monitor.hpp"
 
-#include <cstring>
-
-#include "cluster/ha_hooks.hpp"
 #include "common/assert.hpp"
 
 namespace hyp::hyperion {
@@ -37,138 +34,24 @@ MonitorSubsystem::MonitorSubsystem(cluster::Cluster* cluster, dsm::DsmSystem* ds
 
 Buffer MonitorSubsystem::remote_invoke(dsm::ThreadCtx& t, cluster::NodeId home,
                                        cluster::ServiceId service, dsm::Gva obj, int all_flag) {
+  // Every attempt carries the SAME op id, so whichever home finally applies
+  // the op absorbs earlier attempts through its reattach/dedup machinery (a
+  // previously applied enter/wait re-grants or repoints; exit/notify
+  // re-ack). Successes are empty replies (the home's epoch view under
+  // fencing); a 1-byte reply is a stale-home NACK.
   const bool lossy = cluster_->transport_active();
   const std::uint64_t op = lossy ? next_op_id_++ : 0;
-  auto build = [&]() {
+  auto build = [&] {
     Buffer b;
     b.put<std::uint64_t>(obj);
     b.put<std::uint64_t>(t.uid);
-    // Per-attempt epoch token: a retry after a promotion carries the caller's
-    // caught-up view, so only genuinely stale attempts get fenced.
-    if (fencing_) b.put<std::uint64_t>(ha_->node_epoch(t.node));
+    dsm_->put_epoch(&b, t.node);  // fresh view per attempt
     if (lossy) b.put<std::uint64_t>(op);
     if (all_flag >= 0) b.put<std::uint8_t>(static_cast<std::uint8_t>(all_flag));
     return b;
   };
-  if (!lossy) {
-    if (!dsm_->migrations_enabled()) {
-      // Lossless network: the historical always-succeeds path, byte-identical
-      // wire format (no op id).
-      return cluster_->call(t.node, home, service, build());
-    }
-    // Heat-driven home migration (docs/PROTOCOLS.md §hybrid) can move the
-    // monitor while this call is in flight; the old home answers with a
-    // 1-byte NACK *before* touching monitor state, so a plain re-resolve and
-    // resend is a fresh first apply. The new home may be this node itself
-    // (the dominant writer), which the loopback path handles.
-    cluster::NodeId target = home;
-    for (int guard = 0; guard < 64; ++guard) {
-      Buffer reply = cluster_->call(t.node, target, service, build());
-      if (reply.size() != 1) return reply;
-      t.stats->add(Counter::kHaReroutes);
-      target = dsm_->effective_home_of(obj);
-    }
-    HYP_PANIC("monitor home migration reroute did not converge");
-  }
-  if (ha_ == nullptr) {
-    cluster::NodeId target = home;
-    int failures = 0;
-    for (int guard = 0; guard < 256; ++guard) {
-      cluster::RpcResult r = cluster_->call_result(t.node, target, service, build());
-      if (r.ok()) {
-        if (!dsm_->migrations_enabled() || r.payload.size() != 1) {
-          return std::move(r.payload);
-        }
-        // Migration NACK under a lossy transport: retry at the current home
-        // with the SAME op id, so an op an earlier home did apply (ack lost)
-        // reattaches instead of double-applying.
-        t.stats->add(Counter::kHaReroutes);
-        target = dsm_->effective_home_of(obj);
-        failures = 0;
-        continue;
-      }
-      if (++failures >= kRpcAttempts) {
-        HYP_PANIC("monitor operation abandoned after " + std::to_string(failures) +
-                  " attempts: " + r.error.message);
-      }
-    }
-    HYP_PANIC("monitor home migration reroute did not converge");
-  }
-  // HA path: re-resolve the monitor's home per attempt. Every attempt carries
-  // the SAME op id, so whichever home finally applies the op absorbs earlier
-  // attempts through its reattach/dedup machinery (a previously applied
-  // enter/wait re-grants or repoints; exit/notify re-ack). A 1-byte reply is
-  // a stale-home NACK: loop and re-resolve. Success is an empty reply, or the
-  // home's 8-byte epoch view under fencing.
-  const std::size_t ok_size = fencing_ ? sizeof(std::uint64_t) : 0;
-  auto* eng = sim::Engine::current();
-  const Time started = eng->now();
-  cluster::NodeId target = home;
-  int attempts_at_target = 0;
-  bool rerouted = false;
-  for (int guard = 0; guard < 64; ++guard) {
-    const cluster::NodeId now_home = dsm_->effective_home_of(obj);
-    if (now_home != target) {
-      target = now_home;
-      attempts_at_target = 0;
-      rerouted = true;
-      t.stats->add(Counter::kHaReroutes);
-    }
-    ++attempts_at_target;
-    cluster::RpcResult r = cluster_->call_result(t.node, target, service, build());
-    if (r.ok() && r.payload.size() == ok_size) {
-      if (fencing_) {
-        // A success reply stamped under an epoch this side has fenced off is
-        // discarded like a NACK: re-resolve and retry (the same op id makes
-        // the retry reattach if the op did land somewhere authoritative).
-        std::uint64_t reply_epoch = 0;
-        std::memcpy(&reply_epoch, r.payload.data(), sizeof(reply_epoch));
-        if (reply_epoch < ha_->node_epoch(t.node)) {
-          t.stats->add(Counter::kHaFencedRejects);
-          cluster_->trace_event(t.node, cluster::TraceKind::kHaFencedReject,
-                                static_cast<std::int64_t>(reply_epoch), service);
-          continue;
-        }
-      }
-      if (rerouted) t.stats->record(Hist::kHaRerouteWait, eng->now() - started);
-      return Buffer{};
-    }
-    if (!r.ok() && r.error.status == cluster::RpcStatus::kNoQuorum) {
-      // Minority-side degradation (see DsmSystem::ha_rpc_home): park until
-      // the surviving side can have re-homed the monitor or the heal instant.
-      attempts_at_target = 0;
-      t.stats->add(Counter::kHaNoQuorumHolds);
-      const auto& f = cluster_->params().fault;
-      const Time at = eng->now();
-      const Time heal = f.severed_until(t.node, target, at);
-      if (heal > at) {
-        Time wake = heal;
-        const Time confirm_by =
-            f.severed_since(t.node, target, at) + f.confirm_after + 2 * f.hb_interval;
-        if (confirm_by > at && confirm_by < wake) wake = confirm_by;
-        eng->sleep_until(wake);
-      }
-      continue;
-    }
-    // r.ok() with a non-empty payload is a stale-home NACK; fall through to
-    // re-resolve. A typed failure against a node the detector has not (yet)
-    // confirmed dead is a genuine transport exhaustion: abort as before.
-    if (!r.ok() && attempts_at_target >= kRpcAttempts && !ha_->confirmed_dead(target)) {
-      HYP_PANIC("monitor operation abandoned after " + std::to_string(attempts_at_target) +
-                " attempts: " + r.error.message);
-    }
-    const Time now = eng->now();
-    Time hold = ha_->retry_hold(target, now);
-    if (fencing_ && r.ok()) {
-      // The NACK may mean OUR epoch is stale (see DsmSystem::ha_rpc_home):
-      // a node inside an open partition window catches up only at the heal.
-      const Time release = cluster_->params().fault.partition_release(t.node, now);
-      if (release > hold) hold = release;
-    }
-    if (hold > now) eng->sleep_until(hold);
-  }
-  HYP_PANIC("monitor home failover did not converge (epoch " +
-            std::to_string(ha_->epoch()) + ")");
+  return dsm_->home_call(t, home, obj, service, /*reply_bytes=*/0, /*caller_regroups=*/false,
+                         "monitor operation", build);
 }
 
 bool MonitorSubsystem::op_already_applied(cluster::Incoming& in, cluster::NodeId self) {
@@ -183,7 +66,7 @@ void MonitorSubsystem::reattach_enter(cluster::Incoming& in, cluster::NodeId sel
   // off from the caller; the caller is still parked in the retried call.
   MonitorState& m = state(self, obj);
   if (m.owner_uid == uid) {
-    cluster_->reply(in, make_ack(self));  // the lost grant, re-issued
+    cluster_->reply(in, dsm_->home_ack(self));  // the lost grant, re-issued
     return;
   }
   for (Contender& c : m.queue) {
@@ -202,7 +85,7 @@ void MonitorSubsystem::reattach_wait(cluster::Incoming& in, cluster::NodeId self
                                      std::uint64_t uid) {
   MonitorState& m = state(self, obj);
   if (m.owner_uid == uid) {
-    cluster_->reply(in, make_ack(self));  // notify + re-grant already happened
+    cluster_->reply(in, dsm_->home_ack(self));  // notify + re-grant already happened
     return;
   }
   for (Contender& c : m.queue) {
@@ -230,43 +113,16 @@ MonitorSubsystem::MonitorState& MonitorSubsystem::state(cluster::NodeId home, ds
 // ---------------------------------------------------------------------------
 // High availability (docs/RECOVERY.md)
 
-bool MonitorSubsystem::nack_if_stale(cluster::Incoming& in, cluster::NodeId self, dsm::Gva obj,
-                                     cluster::ServiceId service) {
+bool MonitorSubsystem::rejected(cluster::Incoming& in, cluster::NodeId self, dsm::Gva obj,
+                                cluster::ServiceId service) {
+  // Both checks answer BEFORE the op id is recorded, so the caller's retry
+  // (fresh epoch, or the re-resolved home) is a first apply, not a reattach.
+  if (dsm_->fenced(in, self, service)) return true;
   // Stale routing arises from HA promotions and from heat-driven home
-  // migration (the two share this NACK discipline); with neither active the
-  // static home can never be wrong and the check costs nothing.
-  if (ha_ == nullptr && !dsm_->migrations_enabled()) return false;
+  // migration; with neither active the static home is always right.
   if (dsm_->effective_home_of(obj) == self) return false;
-  // A straggler routed under an older epoch. Answer with a 1-byte NACK (all
-  // monitor successes are empty replies) BEFORE the op id is recorded, so the
-  // caller's retry at the promoted home is a fresh apply, not a reattach.
-  cluster_->trace_event(self, cluster::TraceKind::kHaNack, in.from, service);
-  Buffer nack;
-  nack.put<std::uint8_t>(1);
-  cluster_->reply(in, std::move(nack));
+  dsm_->nack_stale(in, self, service);
   return true;
-}
-
-bool MonitorSubsystem::fenced(cluster::Incoming& in, cluster::NodeId self,
-                              cluster::ServiceId service) {
-  const auto msg_epoch = in.reader.get<std::uint64_t>();
-  if (msg_epoch >= ha_->node_epoch(self)) return false;
-  // The request was built under a routing view this node has superseded:
-  // reject it before it can touch monitor state or record its op id (the
-  // caller's retry under the fresh epoch is then an ordinary first apply).
-  cluster_->node(self).stats().add(Counter::kHaFencedRejects);
-  cluster_->trace_event(self, cluster::TraceKind::kHaFencedReject,
-                        static_cast<std::int64_t>(msg_epoch), service);
-  Buffer nack;
-  nack.put<std::uint8_t>(1);
-  cluster_->reply(in, std::move(nack));
-  return true;
-}
-
-Buffer MonitorSubsystem::make_ack(cluster::NodeId self) const {
-  Buffer ack;
-  if (fencing_) ack.put<std::uint64_t>(ha_->node_epoch(self));
-  return ack;
 }
 
 void MonitorSubsystem::fail_over_home(cluster::NodeId dead, cluster::NodeId backup,
@@ -499,7 +355,7 @@ void MonitorSubsystem::grant_next_if_free(cluster::NodeId home, MonitorState& m)
 }
 
 void MonitorSubsystem::grant(cluster::NodeId home, MonitorState&, Contender c) {
-  if (ha_ != nullptr && c.from >= 0) {
+  if (c.from >= 0) {
     // A grant must never land on a node that is inside a crash window: a dead
     // node processes nothing until its restart. This matters for contenders
     // that were queued at a home which then died — the failover moves the
@@ -527,7 +383,7 @@ void MonitorSubsystem::grant(cluster::NodeId home, MonitorState&, Contender c) {
     *c.granted_flag = true;
     sim::Engine::current()->unpark(c.fiber);
   } else {
-    cluster_->reply_to(home, c.from, c.reply_token, make_ack(home));
+    cluster_->reply_to(home, c.from, c.reply_token, dsm_->home_ack(home));
   }
 }
 
@@ -537,8 +393,7 @@ void MonitorSubsystem::grant(cluster::NodeId home, MonitorState&, Contender c) {
 void MonitorSubsystem::handle_enter(cluster::Incoming& in, cluster::NodeId self) {
   const auto obj = in.reader.get<std::uint64_t>();
   const auto uid = in.reader.get<std::uint64_t>();
-  if (fencing_ && fenced(in, self, svc::kMonitorEnter)) return;
-  if (nack_if_stale(in, self, obj, svc::kMonitorEnter)) return;
+  if (rejected(in, self, obj, svc::kMonitorEnter)) return;
   const bool retry = op_already_applied(in, self);
   cluster_->node(self).extend_service(cluster_->params().cpu.cycles(kManagerCycles));
   if (retry) {
@@ -556,19 +411,17 @@ void MonitorSubsystem::handle_enter(cluster::Incoming& in, cluster::NodeId self)
 void MonitorSubsystem::handle_exit(cluster::Incoming& in, cluster::NodeId self) {
   const auto obj = in.reader.get<std::uint64_t>();
   const auto uid = in.reader.get<std::uint64_t>();
-  if (fencing_ && fenced(in, self, svc::kMonitorExit)) return;
-  if (nack_if_stale(in, self, obj, svc::kMonitorExit)) return;
+  if (rejected(in, self, obj, svc::kMonitorExit)) return;
   const bool retry = op_already_applied(in, self);
   cluster_->node(self).extend_service(cluster_->params().cpu.cycles(kManagerCycles));
   if (!retry) do_exit(self, obj, uid);  // retry of an applied exit: just re-ack
-  cluster_->reply(in, make_ack(self));
+  cluster_->reply(in, dsm_->home_ack(self));
 }
 
 void MonitorSubsystem::handle_wait(cluster::Incoming& in, cluster::NodeId self) {
   const auto obj = in.reader.get<std::uint64_t>();
   const auto uid = in.reader.get<std::uint64_t>();
-  if (fencing_ && fenced(in, self, svc::kMonitorWait)) return;
-  if (nack_if_stale(in, self, obj, svc::kMonitorWait)) return;
+  if (rejected(in, self, obj, svc::kMonitorWait)) return;
   const bool retry = op_already_applied(in, self);
   cluster_->node(self).extend_service(cluster_->params().cpu.cycles(kManagerCycles));
   if (retry) {
@@ -586,13 +439,12 @@ void MonitorSubsystem::handle_wait(cluster::Incoming& in, cluster::NodeId self) 
 void MonitorSubsystem::handle_notify(cluster::Incoming& in, cluster::NodeId self) {
   const auto obj = in.reader.get<std::uint64_t>();
   const auto uid = in.reader.get<std::uint64_t>();
-  if (fencing_ && fenced(in, self, svc::kMonitorNotify)) return;
-  if (nack_if_stale(in, self, obj, svc::kMonitorNotify)) return;
+  if (rejected(in, self, obj, svc::kMonitorNotify)) return;
   const bool retry = op_already_applied(in, self);
   const bool all = in.reader.get<std::uint8_t>() != 0;
   cluster_->node(self).extend_service(cluster_->params().cpu.cycles(kManagerCycles));
   if (!retry) do_notify(self, obj, uid, all);  // applied already: just re-ack
-  cluster_->reply(in, make_ack(self));
+  cluster_->reply(in, dsm_->home_ack(self));
 }
 
 }  // namespace hyp::hyperion

@@ -21,16 +21,10 @@
 #include <vector>
 
 #include "cluster/cluster.hpp"
+#include "cluster/service_ids.hpp"
 #include "dsm/dsm.hpp"
 
 namespace hyp::hyperion {
-
-namespace svc {
-inline constexpr cluster::ServiceId kMonitorEnter = 20;
-inline constexpr cluster::ServiceId kMonitorExit = 21;
-inline constexpr cluster::ServiceId kMonitorWait = 22;
-inline constexpr cluster::ServiceId kMonitorNotify = 23;
-}  // namespace svc
 
 class MonitorSubsystem {
  public:
@@ -48,20 +42,6 @@ class MonitorSubsystem {
   void notify_one(dsm::ThreadCtx& t, dsm::Gva obj);
   void notify_all(dsm::ThreadCtx& t, dsm::Gva obj);
 
-  // --- high availability (optional; nullptr = off, docs/RECOVERY.md) -------
-  // With hooks installed, monitor homes resolve through the HA routing table,
-  // remote ops re-resolve the home per attempt (carrying the SAME op id, so
-  // the new home's reattach/dedup absorbs a previously applied attempt), and
-  // stale-home requests are NACKed (1-byte reply) instead of asserting.
-  // When the fault profile also schedules partition windows, every remote op
-  // additionally carries the caller's epoch view and every success reply the
-  // home's (epoch fencing, docs/PARTITIONS.md): a stale-epoch request is
-  // NACKed before it can mutate monitor state, and a stale-epoch reply is
-  // discarded by the caller like a NACK.
-  void set_ha(cluster::HaHooks* ha) {
-    ha_ = ha;
-    fencing_ = ha != nullptr && !cluster_->params().fault.partitions.empty();
-  }
   // Moves the monitors of objects in the global-address range [zbegin, zend)
   // from the dead node's table to the backup's (the simulator realizes the
   // checkpointed state the incremental replication stream has been
@@ -122,9 +102,11 @@ class MonitorSubsystem {
   // Quiet networks keep the historical wire format byte-for-byte (the op id
   // is only appended when Cluster::transport_active()).
   //
-  // `all_flag` >= 0 appends the notify one/all byte. Retries the whole call
-  // up to kRpcAttempts times on typed transport failure, then aborts with the
-  // transport's diagnostic naming the home node and service.
+  // `all_flag` >= 0 appends the notify one/all byte. The call runs through
+  // DsmSystem::home_call, the one caller-side home loop: whole-call retry on
+  // typed transport failure, re-resolution after a migration or promotion
+  // NACK, and (partition windows scheduled) the caller's epoch view on every
+  // attempt with stale-epoch replies discarded (docs/PARTITIONS.md).
   Buffer remote_invoke(dsm::ThreadCtx& t, cluster::NodeId home, cluster::ServiceId service,
                        dsm::Gva obj, int all_flag = -1);
   // Parses the op id (lossy runs only) and dedups it. Returns true when the
@@ -134,28 +116,20 @@ class MonitorSubsystem {
                       std::uint64_t uid);
   void reattach_wait(cluster::Incoming& in, cluster::NodeId self, dsm::Gva obj,
                      std::uint64_t uid);
-  // HA: answers a stale-home straggler with a 1-byte NACK (before the op id
-  // is recorded) and returns true; false = this node owns the monitor.
-  bool nack_if_stale(cluster::Incoming& in, cluster::NodeId self, dsm::Gva obj,
-                     cluster::ServiceId service);
-  // Epoch fencing (partitions only): consumes the request's epoch token and,
-  // when it predates this node's view, NACKs (1 byte) and returns true.
-  bool fenced(cluster::Incoming& in, cluster::NodeId self, cluster::ServiceId service);
-  // Success reply body: empty historically, the home's 8-byte epoch view
-  // under fencing (the caller validates it against its own).
-  Buffer make_ack(cluster::NodeId self) const;
+  // The DSM's home-side envelope for monitor requests: the epoch fence, then
+  // the stale-home NACK (1 byte) when this node no longer homes `obj`.
+  // Returns true when the request was answered with a NACK.
+  bool rejected(cluster::Incoming& in, cluster::NodeId self, dsm::Gva obj,
+                cluster::ServiceId service);
 
   cluster::Cluster* cluster_;
   dsm::DsmSystem* dsm_;
-  cluster::HaHooks* ha_ = nullptr;
-  bool fencing_ = false;  // ha_ installed AND partition windows scheduled
   // monitors_[home] maps object address -> state.
   std::vector<std::map<dsm::Gva, MonitorState>> monitors_;
   // Lossy-transport idempotence state (empty on quiet networks): the next
   // cluster-unique op id, and per home node the set of applied op ids.
   std::uint64_t next_op_id_ = 1;
   std::vector<std::set<std::uint64_t>> applied_ops_;
-  static constexpr int kRpcAttempts = 3;
 
   // Cycle costs for the manager's bookkeeping (charged to the home service
   // for remote callers, to the caller's clock for local ones).

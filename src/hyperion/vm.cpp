@@ -184,7 +184,6 @@ HyperionVM::HyperionVM(VmConfig config)
     ha_ = std::make_unique<ha::HaManager>(&cluster_, &dsm_, &monitors_);
     cluster_.set_ha_hooks(ha_.get());
     dsm_.set_ha(ha_.get());
-    monitors_.set_ha(ha_.get());
     ha_->start();
   }
 }

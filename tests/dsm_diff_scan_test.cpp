@@ -196,7 +196,8 @@ TEST(DiffScan, ChunkInteriorRunsAreNotMergedOrMissed) {
 // scratch/pool capacities are warm, neither the access fast path nor the
 // flush round-trip touches the allocator.
 TEST(DiffScan, SteadyStateAccessAndFlushAreAllocationFree) {
-  for (ProtocolKind kind : {ProtocolKind::kJavaIc, ProtocolKind::kJavaPf}) {
+  for (ProtocolKind kind :
+       {ProtocolKind::kJavaIc, ProtocolKind::kJavaPf, ProtocolKind::kHybrid}) {
     auto params = cluster::ClusterParams::myrinet200();
     cluster::Cluster c(params, 2);
     DsmSystem dsm(&c, kRegion, kind);
