@@ -769,8 +769,7 @@ void DsmSystem::route(ThreadCtx& t, ItemQueue<Item>& q) {
   // moving page; without HA cohorts share an effective home, matching the
   // paper protocols' message counts whenever no migration is in flight.
   const bool page_pure = ha_ != nullptr;
-  for (int guard = 0; !q.pending.empty();) {
-    HYP_CHECK_MSG(++guard < 256, "hybrid flush: reroute did not converge");
+  for (int nacks = 0; !q.pending.empty();) {
     q.cohort.clear();
     q.rest.clear();
     const PageId lead = layout_.page_of(q.pending.front().addr);
@@ -780,7 +779,13 @@ void DsmSystem::route(ThreadCtx& t, ItemQueue<Item>& q) {
                                   : effective_home_of(it.addr) == home;
       (same ? q.cohort : q.rest).push_back(it);
     }
-    if (ship(t, home, q.cohort.data(), q.cohort.size())) q.pending.swap(q.rest);
+    if (ship(t, home, q.cohort.data(), q.cohort.size())) {
+      q.pending.swap(q.rest);
+    } else {
+      // Only NACKs count against the guard: a page-pure flush legitimately
+      // ships one cohort per dirty page, however many there are.
+      HYP_CHECK_MSG(++nacks < 256, "hybrid flush: migration reroute did not converge");
+    }
   }
 }
 

@@ -727,5 +727,43 @@ TEST(HaMultiRecoveryGolden, SameSeedMultiKillRunIsBitIdentical) {
   }
 }
 
+// --- 9. hybrid under HA --------------------------------------------------------
+
+TEST(HaHybrid, PagePureFlushOfHundredsOfDirtyPagesCompletes) {
+  // Under HA the hybrid router ships one cohort per dirty page. Its
+  // convergence guard must count migration NACKs only: a single flush of
+  // 300 dirty pages is ordinary work, not a reroute loop.
+  hyperion::VmConfig cfg;
+  cfg.cluster = cluster::ClusterParams::myrinet200();
+  cfg.cluster.fault = cluster::FaultProfile::parse("crash3@50ms+1ms,seed=7");
+  cfg.nodes = kNodes;
+  cfg.protocol = dsm::ProtocolKind::kHybrid;
+  cfg.region_bytes = std::size_t{16} << 20;
+  hyperion::HyperionVM vm(cfg);
+  ASSERT_NE(vm.ha(), nullptr);
+  constexpr std::int64_t kPages = 300;
+  const auto stride = static_cast<std::int64_t>(vm.dsm().layout().page_bytes() / 8);
+  std::int64_t sum = -1;
+  dsm::with_policy(dsm::ProtocolKind::kHybrid, [&](auto policy) {
+    using P = decltype(policy);
+    vm.run_main([&](hyperion::JavaEnv& main) {
+      main.migrate_to(1);  // array and lock homed on node 1
+      auto arr = main.new_array<std::int64_t>(kPages * stride);
+      auto lock = main.new_cell<std::int64_t>(0);
+      main.migrate_to(0);
+      hyperion::Mem<P> mem(main.ctx());
+      main.synchronized(lock.addr, [&] {
+        for (std::int64_t i = 0; i < kPages; ++i) mem.aput(arr, i * stride, i + 1);
+      });
+      main.migrate_to(1);  // read the home copies
+      hyperion::Mem<P> home(main.ctx());
+      sum = 0;
+      for (std::int64_t i = 0; i < kPages; ++i) sum += home.aget(arr, i * stride);
+    });
+  });
+  EXPECT_EQ(sum, kPages * (kPages + 1) / 2);
+  EXPECT_GE(vm.stats().get(Counter::kUpdatesSent), static_cast<std::uint64_t>(kPages));
+}
+
 }  // namespace
 }  // namespace hyp::ha
