@@ -201,24 +201,20 @@ Buffer DsmSystem::home_call(ThreadCtx& t, NodeId& target, Gva route,
                             bool caller_regroups, const char* what,
                             FunctionRef<Buffer()> build) {
   if (ha_ == nullptr) {
-    const bool lossy = cluster_->transport_active();
     int failures = 0;
     for (int nacks = 0;;) {
-      Buffer reply;
-      if (!lossy) {
-        reply = cluster_->call(t.node, target, service, build());
-      } else {
-        cluster::RpcResult r = cluster_->call_result(t.node, target, service, build());
-        if (!r.ok()) {
-          if (++failures >= kRpcAttempts) {
-            HYP_PANIC(std::string(what) + " abandoned after " + std::to_string(failures) +
-                      " attempts: " + r.error.message);
-          }
-          continue;
+      // On a lossless network this is one plain call that cannot fail.
+      cluster::RpcResult r = cluster_->call_result(t.node, target, service, build());
+      if (!r.ok()) {
+        if (++failures >= kRpcAttempts) {
+          HYP_PANIC(std::string(what) + " abandoned after " + std::to_string(failures) +
+                    " attempts: " + r.error.message);
         }
-        reply = std::move(r.payload);
+        continue;
       }
-      if (!migrations_enabled() || caller_regroups || reply.size() == reply_bytes) return reply;
+      if (!migrations_enabled() || caller_regroups || r.payload.size() == reply_bytes) {
+        return std::move(r.payload);
+      }
       // Migration NACK: the home moved while the request was in flight. The
       // override table is updated synchronously at migration, so one
       // re-resolve converges; the guard bounds a pathological ping-pong.
@@ -660,6 +656,9 @@ void DsmSystem::update_main_memory(ThreadCtx& t) {
   // thread's batched compute first (otherwise pending time is silently
   // dropped on paths that have nothing to flush, e.g. thread termination).
   t.clock.flush();
+  // java_ic keeps no twins, so an empty log leaves nothing to ship (the
+  // common case: every monitor entry flushes).
+  if (kind_ == ProtocolKind::kJavaIc && t.wlog.empty()) return;
   const auto& cpu = cluster_->params().cpu;
   FlushScratch& s = t.scratch;
   s.begin(t.wlog.size());
@@ -969,8 +968,6 @@ void DsmSystem::maybe_migrate(NodeId self, PageId p, NodeId target) {
   if (f.crash_release(target, now) != 0) return;
   if (f.severed(self, target, now) || f.severed(target, self, now)) return;
 
-  const std::size_t page_bytes = layout_.page_bytes();
-  const Gva begin = layout_.page_base(p);
   hand_over_page(p, self, target);
   node_dsm(self).demote_home(p, p + 1);
   home_override_[p] = target;
@@ -978,15 +975,14 @@ void DsmSystem::maybe_migrate(NodeId self, PageId p, NodeId target) {
 
   ++home_migrations_;
   cluster_->node(self).stats().add_named("dsm_home_migrations");
-  cluster_->trace_event(self, cluster::TraceKind::kHomeMigrated, p, target);
   // Handoff cost: one page copy out of the old home's service queue and one
   // into the new one's. The transfer itself rides the modeled checkpoint
   // path (the same global-metadata idealization as quorum reads).
+  const std::size_t page_bytes = layout_.page_bytes();
   const auto& cpu = cluster_->params().cpu;
   cluster_->node(self).extend_service(cpu.copy_cost(page_bytes));
   cluster_->node(target).extend_service(cpu.copy_cost(page_bytes));
   if (ha_ != nullptr) ha_->note_checkpoint(target, page_bytes);
-  if (home_moved_) home_moved_(self, target, begin, begin + page_bytes);
 }
 
 void DsmSystem::hand_over_page(PageId p, NodeId from, NodeId to) {
@@ -1011,11 +1007,13 @@ void DsmSystem::hand_over_page(PageId p, NodeId from, NodeId to) {
   // Unflushed ic-mode stores of `to`'s threads stay visible as well.
   const Gva begin = layout_.page_base(p);
   replay_logged_writes(to, begin, begin + page_bytes);
+  cluster_->trace_event(from, cluster::TraceKind::kHomeMigrated, p, to);
+  // Co-located state (the monitor tables) follows the page.
+  if (home_moved_) home_moved_(from, to, begin, begin + page_bytes);
 }
 
 void DsmSystem::on_node_dead(NodeId dead) {
   if (home_override_.empty()) return;
-  const std::size_t page_bytes = layout_.page_bytes();
   NodeDsm& dnd = node_dsm(dead);
   for (std::size_t i = 0; i < home_override_.size(); ++i) {
     if (home_override_[i] != dead) continue;
@@ -1031,10 +1029,7 @@ void DsmSystem::on_node_dead(NodeId dead) {
     // Re-realize the page at the fallback home from the dead node's
     // replicated state, preserving the fallback's own unflushed writes.
     hand_over_page(p, dead, back);
-    const Gva begin = layout_.page_base(p);
     cluster_->node(back).stats().add_named("dsm_migrations_reverted");
-    cluster_->trace_event(dead, cluster::TraceKind::kHomeMigrated, p, back);
-    if (home_moved_) home_moved_(dead, back, begin, begin + page_bytes);
   }
 }
 

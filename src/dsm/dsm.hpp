@@ -142,7 +142,7 @@ class DsmSystem {
   // `target` and leaves there the node that answered; `route` is the address
   // whose effective home a retry re-resolves. `build` makes the payload once
   // per attempt, so a retry after an epoch bump carries the fresh view.
-  //   lossless, no HA: one direct Cluster::call;
+  //   lossless, no HA: one plain call, which cannot fail;
   //   lossy:  whole-call retry on typed transport failure, kRpcAttempts per
   //           target, then abort naming `what` (docs/FAULTS.md);
   //   hybrid: a reply other than `reply_bytes` long is a migration NACK:
@@ -170,9 +170,9 @@ class DsmSystem {
   // true — the caller's retry under the fresh epoch is a first apply.
   bool fenced(cluster::Incoming& in, NodeId self, cluster::ServiceId service);
   // Home side: NACKs a request for a page or monitor `self` no longer homes
-  // (HA promotion or hybrid migration) so the caller re-resolves. A page
-  // request's NACK is empty (its success carries the page); every other
-  // NACK is one byte (successes are empty or the 8-byte epoch).
+  // (HA promotion or hybrid migration) so the caller re-resolves. The NACK
+  // is empty where a success carries a page, one byte elsewhere (successes
+  // there are empty or the 8-byte epoch).
   void nack_stale(cluster::Incoming& in, NodeId self, cluster::ServiceId service);
 
   // --- protocol cold paths (called from the access policies) --------------
@@ -324,7 +324,9 @@ class DsmSystem {
   void maybe_migrate(NodeId self, PageId p, NodeId target);
   // Makes `to` the home of `p` with the authoritative bytes from `from`'s
   // arena, keeping `to`'s own unflushed writes: words still equal to its
-  // twin take the home's bytes, then its threads' logged stores are replayed.
+  // twin take the home's bytes, then its threads' logged stores are
+  // replayed. Traces kHomeMigrated and runs the home-moved hook; demoting
+  // `from` is the caller's.
   void hand_over_page(PageId p, NodeId from, NodeId to);
 
   void handle_page_request(cluster::Incoming& in, NodeId self);
