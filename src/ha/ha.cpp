@@ -24,6 +24,31 @@ void insert_sorted(std::vector<NodeId>& v, NodeId x) {
   auto it = std::lower_bound(v.begin(), v.end(), x);
   if (it == v.end() || *it != x) v.insert(it, x);
 }
+
+// Calls emit(offset, length) for every maximal run of bytes where `cur`
+// differs from `base` over [0, n). Equal 64-byte chunks are skipped with one
+// memcmp; runs are byte-exact (the DSM's word-granular scan_diff_runs would
+// widen them to 8-byte words).
+template <typename Emit>
+void for_each_diff_run(const std::byte* cur, const std::byte* base, std::size_t n,
+                       Emit&& emit) {
+  constexpr std::size_t kChunk = 64;
+  std::size_t i = 0;
+  while (i < n) {
+    if (i % kChunk == 0 && n - i >= kChunk && std::memcmp(cur + i, base + i, kChunk) == 0) {
+      i += kChunk;
+      continue;
+    }
+    if (cur[i] == base[i]) {
+      ++i;
+      continue;
+    }
+    std::size_t j = i + 1;
+    while (j < n && cur[j] != base[j]) ++j;
+    emit(i, j - i);
+    i = j;
+  }
+}
 }  // namespace
 
 HaManager::HaManager(cluster::Cluster* cluster, dsm::DsmSystem* dsm,
@@ -62,6 +87,11 @@ void HaManager::zone_pages(NodeId zone, dsm::PageId* first, dsm::PageId* last) c
   const dsm::Layout& layout = dsm_->layout();
   *first = static_cast<dsm::PageId>(layout.zone_begin(zone) / layout.page_bytes());
   *last = static_cast<dsm::PageId>(layout.zone_end(zone) / layout.page_bytes());
+}
+
+std::size_t HaManager::zone_mark(NodeId zone) const {
+  const std::size_t page = dsm_->layout().page_bytes();
+  return (dsm_->node_dsm(zone).allocated_bytes() + page - 1) & ~(page - 1);
 }
 
 void HaManager::start() {
@@ -407,31 +437,26 @@ void HaManager::move_zone(NodeId zone, NodeId dead, NodeId new_home) {
     std::vector<std::byte> bytes;
   };
   std::vector<SavedRun> pending;
-  const std::size_t page_bytes = layout.page_bytes();
   for (dsm::PageId p : bnd.cached_pages()) {
     if (p < first || p >= last || !bnd.has_twin(p)) continue;
     const std::byte* cur = bnd.page_ptr(p);
-    const std::byte* tw = bnd.twin(p);
-    std::size_t i = 0;
-    while (i < page_bytes) {
-      if (cur[i] == tw[i]) {
-        ++i;
-        continue;
-      }
-      std::size_t j = i + 1;
-      while (j < page_bytes && cur[j] != tw[j]) ++j;
-      pending.push_back({layout.page_base(p) + i, std::vector<std::byte>(cur + i, cur + j)});
-      i = j;
-    }
+    for_each_diff_run(cur, bnd.twin(p), layout.page_bytes(),
+                      [&](std::size_t at, std::size_t len) {
+                        pending.push_back({layout.page_base(p) + at,
+                                           std::vector<std::byte>(cur + at, cur + at + len)});
+                      });
   }
 
   // (2) Realize the mirror and take home authority. The pristine snapshot
-  //     feeds the restart-side final-checkpoint diff (see on_restart).
+  //     feeds the restart-side final-checkpoint diff (see on_restart). Both
+  //     stop at the zone's allocation mark: every arena's bytes above it are
+  //     zero (zone_mark), so copying them would change nothing.
+  const std::size_t mark = zone_mark(zone);
   ZoneSnap& snap = zone_snaps_[static_cast<std::size_t>(zone)];
   snap.from = dead;
   insert_sorted(snap_zones_[static_cast<std::size_t>(dead)], zone);
-  snap.bytes.assign(dnd.arena() + zbegin, dnd.arena() + zend);
-  std::memcpy(bnd.arena() + zbegin, dnd.arena() + zbegin, zbytes);
+  snap.bytes.assign(dnd.arena() + zbegin, dnd.arena() + zbegin + mark);
+  std::memcpy(bnd.arena() + zbegin, dnd.arena() + zbegin, mark);
   bnd.promote_to_home(first, last);
 
   // (3) The new home's own unflushed modifications win over the mirrored
@@ -492,22 +517,17 @@ void HaManager::rejoin_node(NodeId n, Time now) {
     dsm::PageId last = 0;
     zone_pages(z, &first, &last);
     const dsm::Gva zbegin = layout.zone_begin(z);
-    const std::size_t zbytes = snap.bytes.size();
     dsm::NodeDsm& dnd = dsm_->node_dsm(n);
     dsm::NodeDsm& hnd = dsm_->node_dsm(zone_home_[static_cast<std::size_t>(z)]);
+    // The mark may have grown since the promotion: bytes past the snapshot's
+    // end were zero then, so the zero-padded snapshot still is the base.
+    const std::size_t mark = zone_mark(z);
+    if (snap.bytes.size() < mark) snap.bytes.resize(mark);
     const std::byte* cur = dnd.arena() + zbegin;
-    const std::byte* base = snap.bytes.data();
-    std::size_t i = 0;
-    while (i < zbytes) {
-      if (cur[i] == base[i]) {
-        ++i;
-        continue;
-      }
-      std::size_t j = i + 1;
-      while (j < zbytes && cur[j] != base[j]) ++j;
-      std::memcpy(hnd.arena() + zbegin + i, cur + i, j - i);
-      i = j;
-    }
+    for_each_diff_run(cur, snap.bytes.data(), snap.bytes.size(),
+                      [&](std::size_t at, std::size_t len) {
+                        std::memcpy(hnd.arena() + zbegin + at, cur + at, len);
+                      });
     snap.from = -1;
     snap.bytes.clear();
     snap.bytes.shrink_to_fit();

@@ -126,6 +126,11 @@ class HaManager final : public cluster::HaHooks {
   // The dead node of the most recent confirmed failure; -1 = none yet.
   cluster::NodeId promoted_for() const { return promoted_for_; }
   std::uint64_t promotions() const { return promotions_; }
+  // Bytes of the promotion-time snapshot of `zone` awaiting its old home's
+  // rejoin; 0 when none is pending.
+  std::size_t snapshot_bytes(cluster::NodeId zone) const {
+    return zone_snaps_[static_cast<std::size_t>(zone)].bytes.size();
+  }
 
  private:
   struct Health {
@@ -135,9 +140,10 @@ class HaManager final : public cluster::HaHooks {
     bool confirmed = false;
   };
 
-  // Per-zone snapshot taken at promotion time from the dying home's arena;
-  // the restart event diffs against it to realize the *final* checkpoint
-  // (see on_restart). `from` is the node the zone moved away from.
+  // Per-zone snapshot taken at promotion time from the dying home's arena,
+  // up to the zone's allocation mark; the restart event diffs against it to
+  // realize the *final* checkpoint (see on_restart). `from` is the node the
+  // zone moved away from.
   struct ZoneSnap {
     cluster::NodeId from = -1;
     std::vector<std::byte> bytes;
@@ -184,6 +190,11 @@ class HaManager final : public cluster::HaHooks {
   // mirrored bytes, transfers home authority + monitor tables, charges the
   // final-checkpoint install on the new home's service queue.
   void move_zone(cluster::NodeId zone, cluster::NodeId dead, cluster::NodeId new_home);
+  // Allocation high-water mark of `zone` (its owner's bump allocator),
+  // rounded up to a page. Zone memory is handed out only by that allocator
+  // and the mark only grows, so no arena holds a non-zero byte of the zone
+  // at or above zone_begin + mark: promotion and rejoin stop there.
+  std::size_t zone_mark(cluster::NodeId zone) const;
   // Zone page range of `zone` as [first, last).
   void zone_pages(cluster::NodeId zone, dsm::PageId* first, dsm::PageId* last) const;
   // Emits (or forwards) one checkpoint message of the modeled stream:

@@ -21,9 +21,11 @@
 // increments while the node dies and recovers underneath them.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <fstream>
+#include <functional>
 #include <map>
 #include <sstream>
 #include <string>
@@ -69,8 +71,10 @@ struct HaRunResult {
 // One kill-and-recover run of the shared-counter workload. The crash window
 // (1ms + 800us) opens while the workers are mid-increment and closes before
 // they finish, so the run crosses crash -> suspect -> confirm -> promote ->
-// restart -> rejoin in-band.
-HaRunResult run_counter_with_crash(dsm::ProtocolKind kind, const std::string& profile) {
+// restart -> rejoin in-band. `inspect`, when given, sees the VM after the run.
+HaRunResult run_counter_with_crash(
+    dsm::ProtocolKind kind, const std::string& profile,
+    const std::function<void(hyperion::HyperionVM&)>& inspect = nullptr) {
   hyperion::VmConfig cfg;
   cfg.cluster = cluster::ClusterParams::myrinet200();
   cfg.cluster.fault = cluster::FaultProfile::parse(profile);
@@ -122,6 +126,7 @@ HaRunResult run_counter_with_crash(dsm::ProtocolKind kind, const std::string& pr
   out.backup_is_home = vm.dsm().node_dsm(vm.ha()->backup_of(kCrashNode)).is_home(page);
   out.crashed_is_home = vm.dsm().node_dsm(kCrashNode).is_home(page);
   out.elected_is_home = vm.dsm().node_dsm(out.zone2_home).is_home(page);
+  if (inspect) inspect(vm);
   return out;
 }
 
@@ -763,6 +768,171 @@ TEST(HaHybrid, PagePureFlushOfHundredsOfDirtyPagesCompletes) {
   });
   EXPECT_EQ(sum, kPages * (kPages + 1) / 2);
   EXPECT_GE(vm.stats().get(Counter::kUpdatesSent), static_cast<std::uint64_t>(kPages));
+}
+
+// --- 10. failover work bounded by the allocation mark -----------------------
+//
+// Promotion snapshots and realizes, and rejoin diffs, only the zone's
+// allocation high-water mark rounded up to a page (docs/RECOVERY.md §2). That
+// is exact because zone memory comes only from the zone owner's bump
+// allocator: no arena ever holds a non-zero byte of a zone above its mark.
+
+// Detector tunables pinned so promotion lands in [1.55ms, 1.65ms] and the
+// restart at 1.8ms: a probe at 1.7ms sees the zone promoted, not yet rejoined.
+constexpr const char* kTimedCrashProfile =
+    "crash2@1ms+800us,hb=50us,suspect=200us,confirm=600us,seed=7";
+constexpr Time kBetweenPromotionAndRestart = 1700 * kMicrosecond;
+
+std::size_t page_rounded_mark(hyperion::HyperionVM& vm, cluster::NodeId zone) {
+  const std::size_t page = vm.dsm().layout().page_bytes();
+  return (vm.dsm().node_dsm(zone).allocated_bytes() + page - 1) & ~(page - 1);
+}
+
+// Non-zero bytes that any node's arena holds above any zone's exact mark.
+std::size_t bytes_above_marks(hyperion::HyperionVM& vm) {
+  const dsm::Layout& layout = vm.dsm().layout();
+  std::size_t stray = 0;
+  for (cluster::NodeId a = 0; a < vm.nodes(); ++a) {
+    const std::byte* arena = vm.dsm().node_dsm(a).arena();
+    for (cluster::NodeId z = 0; z < vm.nodes(); ++z) {
+      const std::byte* lo = arena + layout.zone_begin(z) + vm.dsm().node_dsm(z).allocated_bytes();
+      const std::byte* hi = arena + layout.zone_end(z);
+      stray += static_cast<std::size_t>(
+          std::count_if(lo, hi, [](std::byte b) { return b != std::byte{0}; }));
+    }
+  }
+  return stray;
+}
+
+TEST(HaMark, ObjectNearTopOfLargeZoneSurvivesFailoverAndRejoin) {
+  for (auto kind : {dsm::ProtocolKind::kJavaIc, dsm::ProtocolKind::kJavaPf}) {
+    hyperion::VmConfig cfg;
+    cfg.cluster = cluster::ClusterParams::myrinet200();
+    cfg.cluster.fault = cluster::FaultProfile::parse(kTimedCrashProfile);
+    cfg.nodes = kNodes;
+    cfg.protocol = kind;
+    cfg.region_bytes = std::size_t{64} << 20;  // 16 MB zones
+    cluster::TraceLog trace(1 << 16);
+    cfg.trace = &trace;
+    hyperion::HyperionVM vm(cfg);
+    ASSERT_NE(vm.ha(), nullptr);
+    const dsm::Layout& layout = vm.dsm().layout();
+    const dsm::Gva zbegin = layout.zone_begin(kCrashNode);
+    const std::size_t zbytes = layout.zone_end(kCrashNode) - zbegin;
+    const std::size_t page = layout.page_bytes();
+
+    std::int64_t final_value = -1;
+    dsm::Gva addr = 0;
+    std::size_t snap_bytes = 0;
+    std::size_t snap_mark = 0;
+    dsm::with_policy(kind, [&](auto policy) {
+      using P = decltype(policy);
+      vm.run_main([&](hyperion::JavaEnv& main) {
+        main.migrate_to(kCrashNode);
+        // Push the zone's bump pointer to two pages below its top.
+        main.alloc_raw(zbytes - 2 * page);
+        auto counter = main.new_cell<std::int64_t>(0);
+        addr = counter.addr;
+        main.migrate_to(0);
+        std::vector<hyperion::JThread> threads;
+        for (int w = 0; w < kWorkers; ++w) {
+          threads.push_back(main.start_thread("worker", [=](hyperion::JavaEnv& env) {
+            hyperion::Mem<P> mem(env.ctx());
+            for (int i = 0; i < kIncrements; ++i) {
+              env.synchronized(counter.addr, [&] { mem.put(counter, mem.get(counter) + 1); });
+            }
+          }));
+        }
+        threads.push_back(main.start_thread("probe", [&](hyperion::JavaEnv&) {
+          sim::Engine::current()->sleep_until(kBetweenPromotionAndRestart);
+          snap_bytes = vm.ha()->snapshot_bytes(kCrashNode);
+          snap_mark = page_rounded_mark(vm, kCrashNode);
+        }));
+        for (auto& t : threads) main.join(t);
+        hyperion::Mem<P> mem(main.ctx());
+        final_value = mem.get(counter);
+      });
+    });
+    EXPECT_EQ(final_value, kExpected) << dsm::protocol_name(kind);
+    EXPECT_GE(addr - zbegin, zbytes - 2 * page) << dsm::protocol_name(kind);
+    // The snapshot is exactly the page-rounded mark, and it covers the object.
+    EXPECT_EQ(snap_bytes, snap_mark) << dsm::protocol_name(kind);
+    EXPECT_GT(snap_bytes, addr - zbegin) << dsm::protocol_name(kind);
+    // The rejoin consumed it.
+    EXPECT_EQ(vm.ha()->snapshot_bytes(kCrashNode), 0u) << dsm::protocol_name(kind);
+    EXPECT_EQ(count_events(trace.events(), TraceKind::kHaRejoined), 1u)
+        << dsm::protocol_name(kind);
+    EXPECT_EQ(vm.dsm().read_home<std::int64_t>(addr), kExpected) << dsm::protocol_name(kind);
+  }
+}
+
+TEST(HaMark, StoresAbovePromotionMarkMergeAtRejoin) {
+  // A thread on the crashed node, frozen-model alive inside the window, still
+  // holds home presence for its own zone: it allocates past the
+  // promotion-time mark and stores there. The rejoin must fold that store
+  // into the elected home even though the snapshot ends below it.
+  constexpr std::int64_t kValue = 0x5eed5eed5eedLL;
+  for (auto kind : {dsm::ProtocolKind::kJavaIc, dsm::ProtocolKind::kJavaPf}) {
+    hyperion::VmConfig cfg;
+    cfg.cluster = cluster::ClusterParams::myrinet200();
+    cfg.cluster.fault = cluster::FaultProfile::parse(kTimedCrashProfile);
+    cfg.nodes = kNodes;
+    cfg.protocol = kind;
+    cfg.region_bytes = std::size_t{16} << 20;
+    hyperion::HyperionVM vm(cfg);
+    ASSERT_NE(vm.ha(), nullptr);
+    const dsm::Gva zbegin = vm.dsm().layout().zone_begin(kCrashNode);
+    const std::size_t page = vm.dsm().layout().page_bytes();
+
+    std::int64_t seen = -1;
+    dsm::Gva addr = 0;
+    bool promoted_at_probe = false;
+    std::size_t snap_bytes = 0;
+    dsm::with_policy(kind, [&](auto policy) {
+      using P = decltype(policy);
+      vm.run_main([&](hyperion::JavaEnv& main) {
+        auto writer = main.start_thread("writer", [&](hyperion::JavaEnv& env) {
+          env.migrate_to(kCrashNode);
+          (void)env.new_cell<std::int64_t>(1);  // the zone's only pre-crash object
+          hyperion::Mem<P> mem(env.ctx());
+          sim::Engine::current()->sleep_until(kBetweenPromotionAndRestart);
+          promoted_at_probe = vm.ha()->promoted();
+          snap_bytes = vm.ha()->snapshot_bytes(kCrashNode);
+          env.alloc_raw(2 * page);  // step past the promotion-time mark
+          auto cell = env.new_cell<std::int64_t>(0);
+          addr = cell.addr;
+          mem.put(cell, kValue);
+        });
+        main.join(writer);
+        sim::Engine::current()->sleep_until(2 * kMillisecond);  // past the rejoin
+        hyperion::Mem<P> mem(main.ctx());
+        seen = mem.get(hyperion::GRef<std::int64_t>{addr});
+      });
+    });
+    ASSERT_TRUE(promoted_at_probe) << dsm::protocol_name(kind);
+    EXPECT_EQ(snap_bytes, page) << dsm::protocol_name(kind);
+    EXPECT_GE(addr - zbegin, snap_bytes) << dsm::protocol_name(kind);
+    EXPECT_EQ(vm.ha()->home_node(kCrashNode), kCrashNode + 1) << dsm::protocol_name(kind);
+    EXPECT_EQ(vm.dsm().read_home<std::int64_t>(addr), kValue) << dsm::protocol_name(kind);
+    EXPECT_EQ(seen, kValue) << dsm::protocol_name(kind);
+  }
+}
+
+TEST(HaMark, NoArenaHoldsZoneBytesAboveTheMark) {
+  // The invariant that makes the bound exact, checked after a crash run and a
+  // partition run under every protocol (promotions, rejoins, fetches, diffs,
+  // hybrid migrations all copy bytes only below the mark).
+  for (const char* profile : {kCrashProfile, kMinoritySplitProfile}) {
+    for (auto kind : {dsm::ProtocolKind::kJavaIc, dsm::ProtocolKind::kJavaPf,
+                      dsm::ProtocolKind::kHybrid}) {
+      std::size_t stray = ~std::size_t{0};
+      HaRunResult r = run_counter_with_crash(
+          kind, profile, [&](hyperion::HyperionVM& vm) { stray = bytes_above_marks(vm); });
+      EXPECT_EQ(r.counter, kExpected) << profile << ' ' << dsm::protocol_name(kind);
+      EXPECT_EQ(r.promotions, 1u) << profile << ' ' << dsm::protocol_name(kind);
+      EXPECT_EQ(stray, 0u) << profile << ' ' << dsm::protocol_name(kind);
+    }
+  }
 }
 
 }  // namespace

@@ -151,18 +151,20 @@ TEST_P(JmmPropertyTest, ProtocolsAgreeOnProgramResults) {
 
   auto result_under = [&](dsm::ProtocolKind k) {
     HyperionVM vm(cfg_for(k, nodes));
-    std::int64_t result = 0;
+    // Unsigned: the *31+x checksum wraps after ~13 steps, and only unsigned
+    // wraparound is defined behaviour.
+    std::uint64_t result = 0;
     dsm::with_policy(k, [&](auto policy) {
       using P = decltype(policy);
       vm.run_main([&](JavaEnv& main) {
-        auto acc = main.new_cell<std::int64_t>(0);
+        auto acc = main.new_cell<std::uint64_t>(0);
         std::vector<JThread> ts;
         for (int w = 0; w < 4; ++w) {
           ts.push_back(main.start_thread("w" + std::to_string(w), [=](JavaEnv& env) {
             Mem<P> mem(env.ctx());
             Rng rng(seed + static_cast<std::uint64_t>(w));
             for (int i = 0; i < 20; ++i) {
-              const auto x = static_cast<std::int64_t>(rng.below(1000));
+              const std::uint64_t x = rng.below(1000);
               env.synchronized(acc.addr, [&] { mem.put(acc, mem.get(acc) * 31 + x); });
             }
           }));
